@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit, softmax
@@ -30,7 +30,6 @@ from .errors import DataError, ModelFormatError, NumericalError
 from .kernels import (
     RHO_MODES,
     KernelConfig,
-    KernelLearner,
     build_gradient_cache,
     build_nystrom,
     fit_kernel_gradient,
@@ -42,7 +41,7 @@ from .kernels import (
 from .losses import LossFunction, for_task, gradient_hessian, loss_values, optimal_constant
 from .trees import Tree, TreeNode, fit_tree, predict_tree_batch
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 LEARNER_CHOICES = ("ktboost", "tree", "kernel")
 SELECTION_MODES = ("damped", "undamped")
@@ -105,7 +104,7 @@ class BoostConfig:
 
 @dataclass
 class IterationLearners:
-    """The admitted candidate of one iteration: one learner per output."""
+    """The admitted candidate of one iteration: one Tree or alpha vector per output."""
 
     tag: str
     learners: list
@@ -117,7 +116,10 @@ class IterationLearners:
 
 @dataclass
 class Ensemble:
-    """Constant start plus nu-damped admitted learners, in order."""
+    """Constant start plus nu-damped admitted learners, in order.
+
+    Kernel alphas expand over one basis, ``anchors`` with ``kernel_config``.
+    """
 
     task: str
     loss_kind: str
@@ -126,6 +128,8 @@ class Ensemble:
     standardizer: Standardizer
     iterations: list[IterationLearners] = field(default_factory=list)
     label_names: tuple[str, ...] | None = None
+    anchors: np.ndarray | None = None
+    kernel_config: KernelConfig | None = None
 
     def __post_init__(self):
         self.f0 = np.asarray(self.f0, dtype=np.float64)
@@ -133,6 +137,8 @@ class Ensemble:
             raise DataError(f"unknown task {self.task!r}")
         if self.f0.ndim != 1 or not np.all(np.isfinite(self.f0)):
             raise DataError("f0 must be a finite vector")
+        if not 0 < self.nu <= 1:
+            raise DataError("shrinkage nu must lie in (0, 1]")
 
     @property
     def n_features(self) -> int:
@@ -218,7 +224,7 @@ def fit(
     use_tree = config.learner in ("ktboost", "tree")
     use_kernel = config.learner in ("ktboost", "kernel")
 
-    kconfig = gram = nystrom = cache = None
+    kconfig = anchors = gram = nystrom = cache = None
     train_apply = val_apply = None  # matrices mapping alpha to fitted values
     if use_kernel:
         kconfig = _resolve_kernel_config(x, config)
@@ -284,6 +290,7 @@ def fit(
             tag, learners, pred, selection_risk = "tree", tree_learners, tree_pred, tree_risk
         else:
             tag, learners, pred, selection_risk = "kernel", kernel_learners, kernel_pred, kernel_risk
+            learners = [kl.alpha for kl in learners]
 
         scores += config.nu * pred
         if config.selection == "damped":
@@ -303,7 +310,7 @@ def fit(
             if tag == "tree":
                 vpred = np.column_stack([predict_tree_batch(t, xv) for t in learners])
             else:
-                vpred = np.column_stack([val_apply @ kl.alpha for kl in learners])
+                vpred = np.column_stack([val_apply @ alpha for alpha in learners])
             vscores += config.nu * vpred
             vrisk = empirical_risk(loss, yv, vscores)
             val_trace.append(vrisk)
@@ -319,6 +326,8 @@ def fit(
 
     completed = len(iterations)
     best_iteration = best_iter if validation is not None else completed
+    if "kernel" not in chosen:
+        anchors = kconfig = None
     ensemble = Ensemble(
         train.task,
         loss.kind,
@@ -327,6 +336,8 @@ def fit(
         standardizer,
         iterations,
         train.label_names,
+        anchors,
+        kconfig,
     )
     report = FitReport(
         train_trace,
@@ -345,30 +356,18 @@ def truncate(ensemble: Ensemble, n_iterations: int) -> Ensemble:
     """A view of the ensemble keeping only the first n_iterations rounds."""
     if not 0 <= n_iterations <= ensemble.n_iterations:
         raise DataError(f"cannot truncate to {n_iterations} iterations")
-    return Ensemble(
-        ensemble.task,
-        ensemble.loss_kind,
-        ensemble.nu,
-        ensemble.f0,
-        ensemble.standardizer,
-        list(ensemble.iterations[:n_iterations]),
-        ensemble.label_names,
-    )
+    return replace(ensemble, iterations=list(ensemble.iterations[:n_iterations]))
 
 
 def predict(ensemble: Ensemble, features: np.ndarray, truncate_at: int | None = None) -> np.ndarray:
     """Score matrix f0 + nu * sum of admitted learners, one column per output.
 
-    Kernel learners sharing one anchor set are collapsed into a single
-    summed coefficient vector before the kernel matrix is applied, so
-    prediction cost does not grow with the iteration count for the kernel
-    part beyond the coefficient sums.
+    The alphas of all kernel rounds are summed first, so the kernel part is
+    one kernel matrix product whatever the iteration count.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     xs = ensemble.standardizer.transform(x)
-    n = xs.shape[0]
-    d = ensemble.n_outputs
-    scores = np.tile(ensemble.f0, (n, 1))
+    scores = np.tile(ensemble.f0, (xs.shape[0], 1))
     if truncate_at is None:
         rounds = ensemble.iterations
     else:
@@ -376,20 +375,16 @@ def predict(ensemble: Ensemble, features: np.ndarray, truncate_at: int | None = 
             raise DataError(f"truncate_at {truncate_at} outside 0..{ensemble.n_iterations}")
         rounds = ensemble.iterations[:truncate_at]
 
-    kernel_groups: dict[tuple, list] = {}
     for it in rounds:
         if it.tag == "tree":
             for k, tree in enumerate(it.learners):
                 scores[:, k] += ensemble.nu * predict_tree_batch(tree, xs)
-        else:
-            for k, kl in enumerate(it.learners):
-                key = (id(kl.anchors), kl.config.rho)
-                entry = kernel_groups.setdefault(
-                    key, [kl.anchors, kl.config.rho, np.zeros((kl.anchors.shape[0], d))]
-                )
-                entry[2][:, k] += kl.alpha
-    for anchors, rho, alphas in kernel_groups.values():
-        scores += ensemble.nu * (kernel_matrix(xs, anchors, rho) @ alphas)
+    kernel_rounds = [it.learners for it in rounds if it.tag == "kernel"]
+    if kernel_rounds:
+        # sum() adds the rounds one by one, in the order fit admitted them.
+        alphas = np.column_stack([sum(per_output) for per_output in zip(*kernel_rounds)])
+        kmat = kernel_matrix(xs, ensemble.anchors, ensemble.kernel_config.rho)
+        scores += ensemble.nu * (kmat @ alphas)
     return scores
 
 
@@ -445,17 +440,12 @@ def _tree_from_dict(doc: dict, n_features: int) -> TreeNode:
 def _learner_to_dict(tag: str, learner) -> dict:
     if tag == "tree":
         return _tree_to_dict(learner.root)
-    return {
-        "anchors": learner.anchors.tolist(),
-        "alpha": learner.alpha.tolist(),
-        "rho": float(learner.config.rho),
-        "lambda": float(learner.config.lam),
-        "mode": learner.mode,
-    }
+    return {"alpha": learner.tolist()}
 
 
 def dumps(ensemble: Ensemble) -> str:
     """Canonical JSON: sorted keys, compact separators, repr floats."""
+    cfg = ensemble.kernel_config
     doc = {
         "format_version": FORMAT_VERSION,
         "task": ensemble.task,
@@ -467,6 +457,12 @@ def dumps(ensemble: Ensemble) -> str:
             "scales": ensemble.standardizer.scales.tolist(),
         },
         "label_map": list(ensemble.label_names) if ensemble.label_names else None,
+        "kernel": None if ensemble.anchors is None else {
+            "anchors": ensemble.anchors.tolist(),
+            "rho": float(cfg.rho),
+            "lambda": float(cfg.lam),
+            "mode": "exact" if cfg.nystrom_samples is None else "nystrom",
+        },
         "iterations": [
             {"tag": it.tag, "per_class": [_learner_to_dict(it.tag, l) for l in it.learners]}
             for it in ensemble.iterations
@@ -481,21 +477,14 @@ def save(ensemble: Ensemble, path) -> None:
         fh.write("\n")
 
 
-def loads(text: str) -> Ensemble:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ModelFormatError(f"not a valid model file: {exc}") from exc
-    return _ensemble_from_doc(doc)
-
-
 def load(path) -> Ensemble:
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
 
 
-def _ensemble_from_doc(doc) -> Ensemble:
+def loads(text: str) -> Ensemble:
     try:
+        doc = json.loads(text)
         if doc.get("format_version") != FORMAT_VERSION:
             raise ModelFormatError(
                 f"unsupported format version {doc.get('format_version')!r}"
@@ -521,7 +510,19 @@ def _ensemble_from_doc(doc) -> Ensemble:
         if doc["loss"] != expected:
             raise ModelFormatError(f"loss {doc['loss']!r} does not fit task {task!r}")
 
-        anchor_pool: dict = {}
+        kernel = doc["kernel"]
+        anchors = kconfig = None
+        if kernel is not None:
+            anchors = np.asarray(kernel["anchors"], dtype=np.float64)
+            if anchors.ndim != 2 or anchors.shape[1] != n_features:
+                raise ModelFormatError("anchor matrix shape mismatch")
+            if not np.all(np.isfinite(anchors)):
+                raise ModelFormatError("non-finite kernel anchors")
+            if kernel["mode"] not in ("exact", "nystrom"):
+                raise ModelFormatError(f"unknown kernel mode {kernel['mode']!r}")
+            samples = len(anchors) if kernel["mode"] == "nystrom" else None
+            kconfig = KernelConfig(float(kernel["rho"]), float(kernel["lambda"]), samples)
+
         iterations = []
         for it in doc["iterations"]:
             tag = it["tag"]
@@ -531,30 +532,27 @@ def _ensemble_from_doc(doc) -> Ensemble:
             learners = []
             for entry in per_class:
                 if tag == "tree":
-                    root = _tree_from_dict(entry, n_features)
-                    tree = Tree(root, 0, n_features)
+                    tree = Tree(_tree_from_dict(entry, n_features), 0, n_features)
                     tree.max_depth = tree.depth()
                     learners.append(tree)
                 else:
-                    anchors = np.asarray(entry["anchors"], dtype=np.float64)
-                    if anchors.ndim != 2 or anchors.shape[1] != n_features:
-                        raise ModelFormatError("anchor matrix shape mismatch")
-                    key = (anchors.shape, anchors.tobytes())
-                    anchors = anchor_pool.setdefault(key, anchors)
-                    cfg = KernelConfig(
-                        float(entry["rho"]),
-                        float(entry["lambda"]),
-                        anchors.shape[0] if entry["mode"] == "nystrom" else None,
-                        0,
-                    )
-                    learners.append(
-                        KernelLearner(anchors, np.asarray(entry["alpha"]), cfg, entry["mode"])
-                    )
+                    alpha = np.asarray(entry["alpha"], dtype=np.float64)
+                    if anchors is None or alpha.shape != (len(anchors),):
+                        raise ModelFormatError("kernel alpha needs one entry per anchor")
+                    if not np.all(np.isfinite(alpha)):
+                        raise ModelFormatError("non-finite kernel coefficients")
+                    learners.append(alpha)
             iterations.append(IterationLearners(tag, learners))
-        return Ensemble(task, doc["loss"], float(doc["nu"]), f0, std, iterations, label_names)
+        return Ensemble(
+            task, doc["loss"], float(doc["nu"]), f0, std, iterations, label_names, anchors, kconfig
+        )
     except ModelFormatError:
         raise
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"not a valid model file: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelFormatError("model document nests too deeply") from exc
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ModelFormatError(f"invalid model contents: {exc}") from exc

@@ -116,6 +116,8 @@ class Standardizer:
         object.__setattr__(self, "scales", _frozen(np.asarray(self.scales, dtype=np.float64)))
         if self.means.shape != self.scales.shape or self.means.ndim != 1:
             raise DataError("means and scales must be matching vectors")
+        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.scales))):
+            raise DataError("means and scales must be finite")
         if np.any(self.scales < SCALE_FLOOR):
             raise DataError(f"scales below the floor {SCALE_FLOOR}")
 

@@ -331,7 +331,7 @@ def test_7_single_learner_modes_reproduce_plain_boosting():
     for m in range(12):
         gh = gradient_hessian(loss, y_reg, scores[:, None], newton=False)
         kl = fit_kernel_gradient(x, gh.g[:, 0], kconfig, cache=cache)
-        alphas_equal &= np.array_equal(ens_k.iterations[m].learners[0].alpha, kl.alpha)
+        alphas_equal &= np.array_equal(ens_k.iterations[m].learners[0], kl.alpha)
         scores = scores + 0.3 * (gram @ kl.alpha)
         trace_k.append(empirical_risk(loss, y_reg, scores))
     kernel_bitwise = alphas_equal and rep_k.train_risk == trace_k

@@ -1,7 +1,15 @@
 """Boosting loop: candidate racing, traces, truncation, and persistence."""
 
+import dataclasses
+import functools
+import json
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktboost import (
     BoostConfig,
@@ -436,10 +444,7 @@ def test_multiclass_outputs_and_probabilities():
 def test_score_shift_leaves_probabilities_unchanged():
     data = _multiclass_data()
     ens, _ = fit(data, BoostConfig(iterations=5, nu=0.3, rho=1.0))
-    shifted = Ensemble(
-        ens.task, ens.loss_kind, ens.nu, ens.f0 + 7.5, ens.standardizer,
-        ens.iterations, ens.label_names,
-    )
+    shifted = dataclasses.replace(ens, f0=ens.f0 + 7.5)
     assert np.allclose(
         predict_proba(ens, data.features),
         predict_proba(shifted, data.features),
@@ -491,8 +496,7 @@ def test_rho_mode_resolves_on_training_rows():
     )
     st = fit_standardizer(data)
     expected = select_rho(st.transform(data.features), 3)
-    kl = ens.iterations[0].learners[0]
-    assert kl.config.rho == expected
+    assert ens.kernel_config.rho == expected
 
 
 def test_nystrom_training_uses_sampled_anchors():
@@ -501,9 +505,11 @@ def test_nystrom_training_uses_sampled_anchors():
         data,
         BoostConfig(iterations=5, learner="kernel", rho=0.5, nystrom=8, seed=3),
     )
+    assert ens.anchors.shape == (8, 1)
+    assert ens.kernel_config.nystrom_samples == 8
     for it in ens.iterations:
-        assert it.learners[0].anchors.shape == (8, 1)
-        assert it.learners[0].mode == "nystrom"
+        assert it.learners[0].shape == (8,)
+    assert '"mode":"nystrom"' in dumps(ens)
     assert np.isfinite(report.train_risk[-1])
     assert predict(ens, data.features).shape == (50, 1)
 
@@ -540,16 +546,14 @@ def test_dumps_is_deterministic_and_canonical():
     assert dumps(ens) == text
     assert text == dumps(loads(text))
     # compact separators, sorted keys
-    assert '"format_version":1' in text
+    assert '"format_version":2' in text
     assert ", " not in text.split('"label_map"')[0][:200]
 
 
-def test_loaded_kernel_anchors_are_shared():
+def test_kernel_anchors_are_written_once():
     data = _regression_data(seed=19)
     ens, _ = fit(data, BoostConfig(iterations=10, learner="kernel", rho=0.4))
-    back = loads(dumps(ens))
-    anchor_ids = {id(it.learners[0].anchors) for it in back.iterations}
-    assert len(anchor_ids) == 1  # duplicated matrices collapse on load
+    assert dumps(ens).count('"anchors"') == 1
 
 
 def test_load_rejects_malformed_documents():
@@ -561,11 +565,22 @@ def test_load_rejects_malformed_documents():
     with pytest.raises(ModelFormatError):
         loads("[1, 2, 3]")
     with pytest.raises(ModelFormatError):
-        loads(text.replace('"format_version":1', '"format_version":99'))
+        loads(text.replace('"format_version":2', '"format_version":99'))
     with pytest.raises(ModelFormatError):
         loads(text.replace('"task":"regression"', '"task":"binary"'))
     with pytest.raises(ModelFormatError):
         loads(text.replace('"f0":[', '"f0":[NaN,', 1))
+    # 1e999 parses to inf, so these reach the model checks
+    for key in ("means", "scales"):
+        bad, count = re.subn(rf'"{key}":\[[^,\]]+', f'"{key}":[1e999', text)
+        assert count == 1
+        with pytest.raises(ModelFormatError):
+            loads(bad)
+    kernel_ens, _ = fit(data, BoostConfig(iterations=2, learner="kernel", rho=0.5))
+    bad, count = re.subn(r'"anchors":\[\[[^,\]]+', '"anchors":[[1e999', dumps(kernel_ens))
+    assert count == 1
+    with pytest.raises(ModelFormatError):
+        loads(bad)
 
 
 def test_load_rejects_wrong_loss_for_task():
@@ -588,3 +603,59 @@ def test_ensemble_manual_construction():
     )
     out = predict(ens, np.array([[0.0], [1.0]]))
     assert np.allclose(out[:, 0], [0.6, 0.4])
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_models():
+    """Two small v2 documents: exact-kernel ktboost and Nystrom binary."""
+    rng = np.random.default_rng(3)
+    x = rng.uniform(size=(10, 2))
+    reg, rep = fit(Dataset(x, np.sin(4 * x[:, 0]) + x[:, 1], "regression"),
+                   BoostConfig(iterations=6, nu=0.5, max_depth=2, rho=0.5))
+    assert set(rep.chosen) == {"tree", "kernel"}
+    xb = rng.normal(size=(12, 2))
+    binary, _ = fit(Dataset(xb, (xb[:, 0] > 0).astype(int), "binary", label_names=("neg", "pos")),
+                    BoostConfig(iterations=3, learner="kernel", rho=1.0, nystrom=4, seed=1))
+    return [dumps(reg), dumps(binary)], np.vstack([x, xb])
+
+
+def _fuzz_paths(node, path=()):
+    """Every (path, mutation) pair of one document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+        if node:
+            yield path, "truncate"
+    else:
+        children = ()
+        if isinstance(node, (int, float)):
+            yield path, "set"
+    if path and not isinstance(path[-1], int):
+        yield path, "delete"
+    for key, child in children:
+        yield from _fuzz_paths(child, path + (key,))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_mutated_documents_load_finite_or_raise(data):
+    texts, x = _fuzz_models()
+    doc = json.loads(data.draw(st.sampled_from(texts)))
+    path, mutation = data.draw(st.sampled_from(list(_fuzz_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation == "delete":
+        del parent[path[-1]]
+    elif mutation == "truncate":
+        node = parent[path[-1]]
+        parent[path[-1]] = node[: data.draw(st.integers(0, len(node) - 1))]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from([math.inf, -1, 0, "x", "nan", "1"]))
+    text = json.dumps(doc).replace("Infinity", "1e999")
+    try:
+        model = loads(text)
+    except ModelFormatError:
+        return
+    assert np.all(np.isfinite(predict(model, x)))

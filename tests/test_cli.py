@@ -111,6 +111,46 @@ def test_numerical_errors_exit_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _deep_tree_model(depth):
+    """A v2 regression model whose one tree nests ``depth`` splits leftward."""
+    parts = ['{"f0":[0.0],"format_version":2,"iterations":[{"per_class":[']
+    for _ in range(depth):
+        parts.append('{"feature":0,"left":')
+    parts.append('{"n":1,"weight":1.0}')
+    for _ in range(depth):
+        parts.append(',"n":2,"right":{"n":1,"weight":0.0},"threshold":0.5,"weight":0.0}')
+    parts.append('],"tag":"tree"}],"kernel":null,"label_map":null,"loss":"squared",'
+                 '"nu":0.1,"standardizer":{"means":[0.0],"scales":[1.0]},"task":"regression"}')
+    return "".join(parts)
+
+
+def test_model_file_errors_exit_two(tmp_path, capsys):
+    data = _write_regression_csv(tmp_path / "d.csv")
+    out = tmp_path / "p.csv"
+    shallow = tmp_path / "shallow.json"
+    shallow.write_text(_deep_tree_model(200))
+    assert run_cli(["predict", "--model", str(shallow), "--data", str(data),
+                    "--has-target", "--out", str(out)]) == 0
+    # version 1 stored anchors, rho and lambda in every kernel iteration
+    v1 = {"format_version": 1, "task": "regression", "loss": "squared", "nu": 0.1,
+          "f0": [0.0], "standardizer": {"means": [0.0], "scales": [1.0]},
+          "label_map": None,
+          "iterations": [{"tag": "kernel", "per_class": [
+              {"anchors": [[0.0]], "alpha": [1.0], "rho": 1.0, "lambda": 1.0,
+               "mode": "exact"}]}]}
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(v1))
+    deep = tmp_path / "deep.json"
+    deep.write_text(_deep_tree_model(3000))
+    capsys.readouterr()
+    for model, message in ((old, "version 1"), (deep, "nests too deeply")):
+        assert run_cli(["predict", "--model", str(model), "--data", str(data),
+                        "--has-target", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
+
 # ------------------------------------------------------------ round trips
 
 

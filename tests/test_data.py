@@ -113,6 +113,11 @@ def test_standardizer_width_check():
         st.transform(np.ones((2, 4)))
     with pytest.raises(DataError):
         Standardizer(np.zeros(2), np.zeros(2))  # scales below floor
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DataError):
+            Standardizer(np.array([0.0, bad]), np.ones(2))
+        with pytest.raises(DataError):
+            Standardizer(np.zeros(2), np.array([1.0, bad]))
 
 
 def test_single_row_standardizer():
