@@ -83,12 +83,12 @@ from .losses import (
     optimal_constant,
 )
 from .trees import (
-    HAS_COMPILED_SCAN,
     Tree,
     TreeNode,
     fit_tree,
     predict_tree,
     predict_tree_batch,
+    presort_features,
     split_backend_name,
 )
 

@@ -1,8 +1,7 @@
-"""Pure-numpy fallback for the split scan; see _split_scan.pyx.
+"""Split scan over one presorted column.
 
-Prefix sums are np.cumsum (strictly left-to-right accumulation) and the
-gain expression mirrors the compiled loop, keeping both backends
-bit-identical on the same input.
+Prefix sums are np.cumsum, which accumulates strictly left to right, so
+the gains depend only on the order of the column's rows.
 """
 
 import numpy as np

@@ -39,7 +39,7 @@ from .kernels import (
     select_rho,
 )
 from .losses import LossFunction, for_task, gradient_hessian, loss_values, optimal_constant
-from .trees import Tree, TreeNode, fit_tree, predict_tree_batch
+from .trees import Tree, TreeNode, fit_tree, predict_tree_batch, presort_features
 
 FORMAT_VERSION = 2
 
@@ -223,6 +223,8 @@ def fit(
 
     use_tree = config.learner in ("ktboost", "tree")
     use_kernel = config.learner in ("ktboost", "kernel")
+    # x never changes, so one sort serves every tree of the fit.
+    order = presort_features(x) if use_tree else None
 
     kconfig = anchors = gram = nystrom = cache = None
     train_apply = val_apply = None  # matrices mapping alpha to fitted values
@@ -261,7 +263,7 @@ def fit(
         tree_risk = np.nan
         if use_tree:
             tree_learners = [
-                fit_tree(x, gh.g[:, k], gh.h[:, k], config.max_depth, config.min_samples_leaf)
+                fit_tree(x, gh.g[:, k], gh.h[:, k], config.max_depth, config.min_samples_leaf, order)
                 for k in range(d)
             ]
             tree_pred = np.column_stack([predict_tree_batch(t, x) for t in tree_learners])
@@ -414,14 +416,23 @@ def _tree_to_dict(node: TreeNode) -> dict:
     return out
 
 
+def _json_int(value, name: str) -> int:
+    # bool is a subclass of int, and int() would truncate 1.9 to 1
+    if type(value) is not int:
+        raise ModelFormatError(f"tree field {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def _tree_from_dict(doc: dict, n_features: int) -> TreeNode:
     weight = float(doc["weight"])
-    count = int(doc["n"])
+    count = _json_int(doc["n"], "n")
     if not np.isfinite(weight):
         raise ModelFormatError("non-finite leaf weight")
+    if count < 1:
+        raise ModelFormatError(f"tree node with {count} samples")
     if "feature" not in doc:
         return TreeNode(weight, count)
-    feature = int(doc["feature"])
+    feature = _json_int(doc["feature"], "feature")
     threshold = float(doc["threshold"])
     if not 0 <= feature < n_features:
         raise ModelFormatError(f"split feature {feature} out of range")

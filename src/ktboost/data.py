@@ -131,7 +131,10 @@ class Standardizer:
             raise DataError(
                 f"expected {self.n_features} features, got {features.shape[-1]}"
             )
-        return (features - self.means) / self.scales
+        # In place after the subtraction: one output array, no temporary.
+        out = features - self.means
+        out /= self.scales
+        return out
 
     def inverse_transform(self, standardized: np.ndarray) -> np.ndarray:
         return np.asarray(standardized, dtype=np.float64) * self.scales + self.means

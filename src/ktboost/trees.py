@@ -9,8 +9,12 @@ are the node's gradient and Hessian sums. Leaf weights are -G/H. Depth
 counts edges from the root, so max_depth=1 is a stump. Rows with
 x[feature] <= threshold go left.
 
-The per-column scan is the hot loop; a compiled extension is used when
-available, with a numpy fallback selected at import time.
+Features are sorted once per fit (``presort_features``), not per node:
+each node carries a (p, m) block whose row j lists the node's m rows in
+ascending order of feature j, ties by row index. A split partitions every
+row of the block stably, so the children's blocks stay sorted with the
+same tie order and the per-column scan sees exactly the arrays that a
+per-node stable argsort would produce.
 """
 
 from __future__ import annotations
@@ -19,20 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _split_scan_py as _scan
 from .errors import DataError
-
-try:
-    from . import _split_scan as _scan
-
-    HAS_COMPILED_SCAN = True
-except ImportError:  # pragma: no cover - depends on the build environment
-    from . import _split_scan_py as _scan
-
-    HAS_COMPILED_SCAN = False
 
 
 def split_backend_name() -> str:
-    return "compiled" if HAS_COMPILED_SCAN else "numpy"
+    return "numpy"
+
+
+def presort_features(features: np.ndarray) -> np.ndarray:
+    """Row indices sorted by each feature, shape (p, n), int32.
+
+    The argsort is stable, so equal values keep ascending row order.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    return np.argsort(x.T, axis=1, kind="stable").astype(np.int32)
 
 
 @dataclass
@@ -80,15 +85,17 @@ def fit_tree(
     h: np.ndarray,
     max_depth: int,
     min_samples_leaf: int = 1,
-    scan=None,
+    order: np.ndarray | None = None,
 ) -> Tree:
     """Grow a tree greedily on one gradient/Hessian column.
 
     Splits need strictly positive gain; nodes violating the depth or leaf
     size constraints become leaves. Ties prefer the lowest feature index,
-    then the smallest threshold.
+    then the smallest threshold. ``order`` is ``presort_features(features)``,
+    computed here when not given; pass it to share one sort between trees
+    fitted on the same features.
     """
-    best_split = scan.best_split if scan is not None else _scan.best_split
+    best_split = _scan.best_split
     x = np.ascontiguousarray(features, dtype=np.float64)
     g = np.ascontiguousarray(g, dtype=np.float64)
     h = np.ascontiguousarray(h, dtype=np.float64)
@@ -103,40 +110,46 @@ def fit_tree(
         raise DataError("all-zero Hessian column")
     if max_depth < 0 or min_samples_leaf < 1:
         raise DataError("invalid tree constraints")
+    if order is None:
+        order = presort_features(x)
+    order = np.asarray(order)
+    if order.shape != (p, n) or not np.issubdtype(order.dtype, np.integer):
+        raise DataError(f"order must be an integer array of shape ({p}, {n})")
+    xt = np.ascontiguousarray(x.T)
+    goes_left = np.zeros(n, dtype=bool)
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        gs = g[idx]
-        hs = h[idx]
-        total_h = float(np.sum(hs))
-        weight = -float(np.sum(gs)) / total_h if total_h > 0 else 0.0
-        if depth < max_depth and idx.size >= 2 * min_samples_leaf:
-            best_gain = -np.inf
-            best_feature = -1
-            best_thr = np.nan
-            for j in range(p):
-                col = x[idx, j]
-                order = np.argsort(col, kind="stable")
-                pos, gain, thr = best_split(
-                    np.ascontiguousarray(col[order]),
-                    np.ascontiguousarray(gs[order]),
-                    np.ascontiguousarray(hs[order]),
-                    min_samples_leaf,
-                )
-                if pos >= 0 and gain > best_gain:
-                    best_gain, best_feature, best_thr = gain, j, thr
-            if best_gain > 0.0:
-                mask = x[idx, best_feature] <= best_thr
-                return TreeNode(
-                    weight,
-                    idx.size,
-                    best_feature,
-                    best_thr,
-                    grow(idx[mask], depth + 1),
-                    grow(idx[~mask], depth + 1),
-                )
-        return TreeNode(weight, idx.size)
-
-    return Tree(grow(np.arange(n), 0), max_depth, p)
+    # Each entry: the node to fill, its rows in ascending order, its sorted
+    # block (row j = the same rows ordered by feature j) and its depth. A
+    # block is dropped as soon as its children's blocks are cut from it.
+    root = TreeNode(0.0, 0)
+    stack = [(root, np.arange(n), order, 0)]
+    while stack:
+        node, idx, block, depth = stack.pop()
+        total_h = float(np.sum(h[idx]))
+        node.weight = -float(np.sum(g[idx])) / total_h if total_h > 0 else 0.0
+        node.n_samples = idx.size
+        if depth >= max_depth or idx.size < 2 * min_samples_leaf:
+            continue
+        best_gain = -np.inf
+        best_feature = -1
+        best_thr = np.nan
+        for j in range(p):
+            rows = block[j]
+            pos, gain, thr = best_split(xt[j, rows], g[rows], h[rows], min_samples_leaf)
+            if pos >= 0 and gain > best_gain:
+                best_gain, best_feature, best_thr = gain, j, thr
+        if best_gain <= 0.0:
+            continue
+        mask = xt[best_feature, idx] <= best_thr
+        left, right = idx[mask], idx[~mask]
+        goes_left[left] = True
+        sel = goes_left[block]
+        goes_left[left] = False
+        node.feature, node.threshold = best_feature, best_thr
+        node.left, node.right = TreeNode(0.0, 0), TreeNode(0.0, 0)
+        stack.append((node.right, right, block[~sel].reshape(p, right.size), depth + 1))
+        stack.append((node.left, left, block[sel].reshape(p, left.size), depth + 1))
+    return Tree(root, max_depth, p)
 
 
 def predict_tree(tree: Tree, x: np.ndarray) -> float:

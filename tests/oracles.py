@@ -9,6 +9,9 @@ these, never against the code under test.
 
 import numpy as np
 
+from ktboost._split_scan_py import best_split
+from ktboost.trees import Tree, TreeNode
+
 
 # ------------------------------------------------------------------ trees
 
@@ -75,6 +78,49 @@ def oracle_tree(x, g, h, max_depth, min_leaf=1):
         return node
 
     return build(np.arange(x.shape[0]), 0)
+
+
+def argsort_tree(x, g, h, max_depth, min_samples_leaf=1):
+    """The grower before presorting: a stable argsort per node and feature.
+
+    Same split scan as the library, so a presorted grower that feeds the
+    scan the same arrays must match this one bit for bit.
+    """
+    n, p = x.shape
+
+    def grow(idx: np.ndarray, depth: int) -> TreeNode:
+        gs = g[idx]
+        hs = h[idx]
+        total_h = float(np.sum(hs))
+        weight = -float(np.sum(gs)) / total_h if total_h > 0 else 0.0
+        if depth < max_depth and idx.size >= 2 * min_samples_leaf:
+            best_gain = -np.inf
+            best_feature = -1
+            best_thr = np.nan
+            for j in range(p):
+                col = x[idx, j]
+                order = np.argsort(col, kind="stable")
+                pos, gain, thr = best_split(
+                    np.ascontiguousarray(col[order]),
+                    np.ascontiguousarray(gs[order]),
+                    np.ascontiguousarray(hs[order]),
+                    min_samples_leaf,
+                )
+                if pos >= 0 and gain > best_gain:
+                    best_gain, best_feature, best_thr = gain, j, thr
+            if best_gain > 0.0:
+                mask = x[idx, best_feature] <= best_thr
+                return TreeNode(
+                    weight,
+                    idx.size,
+                    best_feature,
+                    best_thr,
+                    grow(idx[mask], depth + 1),
+                    grow(idx[~mask], depth + 1),
+                )
+        return TreeNode(weight, idx.size)
+
+    return Tree(grow(np.arange(n), 0), max_depth, p)
 
 
 def oracle_tree_predict(node, row):

@@ -581,6 +581,15 @@ def test_load_rejects_malformed_documents():
     assert count == 1
     with pytest.raises(ModelFormatError):
         loads(bad)
+    # tree fields must be JSON integers, and a node holds at least one row
+    tree_ens, _ = fit(data, BoostConfig(iterations=1, learner="tree", max_depth=1))
+    tree_text = dumps(tree_ens)
+    for pattern, repl in ((r'"feature":0', '"feature":0.9'), (r'"feature":0', '"feature":false'),
+                          (r'"n":60', '"n":60.7'), (r'"n":\d+', '"n":0')):
+        bad, count = re.subn(pattern, repl, tree_text, count=1)
+        assert count == 1
+        with pytest.raises(ModelFormatError):
+            loads(bad)
 
 
 def test_load_rejects_wrong_loss_for_task():

@@ -1,23 +1,32 @@
-"""Exact greedy trees against exhaustive enumeration, plus backend parity."""
+"""Exact greedy trees against exhaustive enumeration and the per-node argsort grower."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktboost import (
-    HAS_COMPILED_SCAN,
+    BoostConfig,
     DataError,
+    Dataset,
+    fit,
     fit_tree,
+    gradient_hessian,
+    optimal_constant,
     predict_tree,
     predict_tree_batch,
+    presort_features,
     split_backend_name,
 )
 from ktboost import _split_scan_py
-from oracles import assert_same_tree, oracle_tree, oracle_tree_predict, tree_objective
-
-if HAS_COMPILED_SCAN:
-    from ktboost import _split_scan
-else:  # pragma: no cover - build-dependent
-    _split_scan = None
+from ktboost.losses import for_task
+from oracles import (
+    argsort_tree,
+    assert_same_tree,
+    oracle_tree,
+    oracle_tree_predict,
+    tree_objective,
+)
 
 
 def _random_instance(rng):
@@ -190,52 +199,105 @@ def test_monotone_transform_invariance():
     assert tree_a.n_leaves() == tree_b.n_leaves()
 
 
-# --------------------------------------------------------------- backends
+# ------------------------------------------- presorted vs per-node argsort
+
+
+def assert_identical_tree(a, b):
+    """Node for node, bit for bit."""
+    assert a.n_samples == b.n_samples
+    assert a.weight == b.weight
+    assert a.is_leaf == b.is_leaf
+    if not a.is_leaf:
+        assert a.feature == b.feature
+        assert a.threshold == b.threshold
+        assert_identical_tree(a.left, b.left)
+        assert_identical_tree(a.right, b.right)
 
 
 def test_backend_name_consistent():
-    assert split_backend_name() in ("compiled", "numpy")
-    assert (split_backend_name() == "compiled") == HAS_COMPILED_SCAN
+    assert split_backend_name() == "numpy"
 
 
-@pytest.mark.skipif(not HAS_COMPILED_SCAN, reason="compiled backend not built")
-def test_backends_bit_identical_on_columns():
-    rng = np.random.default_rng(10)
-    for trial in range(500):
-        n = int(rng.integers(2, 80))
+def test_presort_is_stable_int32():
+    x = np.array([[2.0, 0.0], [1.0, 0.0], [2.0, -1.0], [1.0, 0.0]])
+    order = presort_features(x)
+    assert order.dtype == np.int32
+    assert order.tolist() == [[1, 3, 0, 2], [2, 0, 1, 3]]
+    # long tie-heavy columns, where an unstable sort would reorder ties
+    x = np.random.default_rng(19).integers(0, 3, size=(500, 4)).astype(np.float64)
+    rows = np.arange(500)
+    for j, col in enumerate(presort_features(x)):
+        assert np.array_equal(col, np.lexsort((rows, x[:, j])))
+
+
+def test_matches_argsort_grower():
+    rng = np.random.default_rng(16)
+    for trial in range(120):
+        n = int(rng.integers(1, 50)) if trial % 4 else int(rng.integers(1, 3))
+        p = int(rng.integers(1, 5))
+        x = rng.normal(size=(n, p))
         if trial % 3 == 0:
-            xs = np.sort(rng.choice(np.round(rng.normal(size=6), 1), n))
-        else:
-            xs = np.sort(rng.normal(size=n))
+            x = rng.choice(np.round(rng.normal(size=4), 1), size=(n, p))
+        if trial % 5 == 0:
+            x[:, int(rng.integers(p))] = 0.25
         g = rng.normal(size=n)
         h = rng.uniform(0.0, 2.0, n) if trial % 2 else np.ones(n)
-        min_leaf = int(rng.integers(1, 4))
-        a = _split_scan.best_split(xs, g, h, min_leaf)
-        b = _split_scan_py.best_split(xs, g, h, min_leaf)
-        assert a[0] == b[0]
-        assert a[1] == b[1] or (np.isinf(a[1]) and np.isinf(b[1]))
-        assert a[2] == b[2] or (np.isnan(a[2]) and np.isnan(b[2]))
+        if trial % 6 == 1:
+            h[rng.random(n) < 0.4] = 0.0
+            h[0] = 1.0
+        depth = int(rng.integers(0, 6))
+        min_leaf = 1 + trial % 3
+        assert_identical_tree(
+            fit_tree(x, g, h, depth, min_leaf).root,
+            argsort_tree(x, g, h, depth, min_leaf).root,
+        )
 
 
-@pytest.mark.skipif(not HAS_COMPILED_SCAN, reason="compiled backend not built")
-def test_backends_grow_identical_trees():
-    rng = np.random.default_rng(13)
-    for _ in range(8):
-        x, g, h, depth = _random_instance(rng)
-        t_c = fit_tree(x, g, h, depth, scan=_split_scan)
-        t_p = fit_tree(x, g, h, depth, scan=_split_scan_py)
+def test_multiclass_round_shares_one_presort():
+    rng = np.random.default_rng(17)
+    x = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(80, 3))
+    y = rng.integers(0, 3, 80)
+    data = Dataset(x, y, "multiclass")
+    config = BoostConfig(iterations=1, learner="tree", max_depth=3, min_samples_leaf=2)
+    ens, _ = fit(data, config)
+    xs = ens.standardizer.transform(x)
+    loss = for_task("multiclass", 3)
+    scores = np.tile(optimal_constant(loss, y), (80, 1))
+    gh = gradient_hessian(loss, y, scores, newton=True)
+    order = presort_features(xs)
+    for k, tree in enumerate(ens.iterations[0].learners):
+        ref = argsort_tree(xs, gh.g[:, k], gh.h[:, k], 3, 2).root
+        assert_identical_tree(tree.root, ref)
+        assert_identical_tree(fit_tree(xs, gh.g[:, k], gh.h[:, k], 3, 2, order).root, ref)
 
-        def same(a, b):
-            assert a.weight == b.weight
-            assert a.n_samples == b.n_samples
-            assert a.is_leaf == b.is_leaf
-            if not a.is_leaf:
-                assert a.feature == b.feature
-                assert a.threshold == b.threshold
-                same(a.left, b.left)
-                same(a.right, b.right)
 
-        same(t_c.root, t_p.root)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matches_argsort_grower_generated(data):
+    n = data.draw(st.integers(1, 24))
+    p = data.draw(st.integers(1, 3))
+    values = st.sampled_from([-1.0, 0.0, 0.0, 0.5, 3.0]) | st.floats(-4.0, 4.0)
+    x = np.array(data.draw(st.lists(values, min_size=n * p, max_size=n * p))).reshape(n, p)
+    g = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    h = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n)))
+    h[data.draw(st.integers(0, n - 1))] = 1.0
+    depth = data.draw(st.integers(0, 4))
+    min_leaf = data.draw(st.integers(1, 3))
+    assert_identical_tree(
+        fit_tree(x, g, h, depth, min_leaf).root,
+        argsort_tree(x, g, h, depth, min_leaf).root,
+    )
+
+
+def test_order_validation():
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(6, 2))
+    g, h = rng.normal(size=6), np.ones(6)
+    order = presort_features(x)
+    assert_identical_tree(fit_tree(x, g, h, 2, order=order).root, fit_tree(x, g, h, 2).root)
+    for bad in (order.T, order[:, :5], order[0], order.astype(np.float64), order > 2):
+        with pytest.raises(DataError):
+            fit_tree(x, g, h, 2, order=bad)
 
 
 # ------------------------------------------------------------- prediction
