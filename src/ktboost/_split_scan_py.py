@@ -35,7 +35,13 @@ def best_split(xs, g, h, min_leaf):
         gain = gl * gl / hl + gr * gr / hr - base
     gain[~ok] = -np.inf
     i = int(np.argmax(gain))
-    thr = (xs[i] + xs[i + 1]) / 2.0
-    if thr >= xs[i + 1]:
-        thr = np.nextafter(xs[i + 1], xs[i])
+    a, b = xs[i], xs[i + 1]
+    with np.errstate(over="ignore"):
+        thr = (a + b) / 2.0
+    if not np.isfinite(thr):
+        # a + b overflowed; halving first cannot, and at this magnitude it
+        # is exact, so the result is the correctly rounded midpoint
+        thr = a / 2.0 + b / 2.0
+    if thr >= b:
+        thr = np.nextafter(b, a)
     return i + 1, float(gain[i]), float(thr)

@@ -32,6 +32,7 @@ from .kernels import (
     KernelConfig,
     build_gradient_cache,
     build_nystrom,
+    check_exact_gram_fits,
     fit_kernel_gradient,
     fit_kernel_newton,
     kernel_matrix,
@@ -229,6 +230,9 @@ def fit(
     kconfig = anchors = gram = nystrom = cache = None
     train_apply = val_apply = None  # matrices mapping alpha to fitted values
     if use_kernel:
+        if config.nystrom is None:
+            # before select_rho's n-by-n distances and the Gram matrix
+            check_exact_gram_fits(n)
         kconfig = _resolve_kernel_config(x, config)
         if kconfig.nystrom_samples is not None:
             nystrom = build_nystrom(x, kconfig)
@@ -240,7 +244,9 @@ def fit(
             anchors = x
         if xv is not None:
             val_apply = kernel_matrix(xv, anchors, kconfig.rho)
-        if not config.newton:
+        # A constant Hessian (gradient mode, or the squared loss, whose
+        # Newton h is exactly one) gives the same system every round.
+        if not config.newton or loss.kind == "squared":
             cache = build_gradient_cache(x, kconfig, gram=gram, nystrom=nystrom)
 
     step = config.nu if config.selection == "damped" else 1.0
@@ -272,14 +278,14 @@ def fit(
         kernel_learners = kernel_pred = None
         kernel_risk = np.nan
         if use_kernel:
-            if config.newton:
+            if cache is not None:
                 kernel_learners = [
-                    fit_kernel_newton(x, gh.g[:, k], gh.h[:, k], kconfig, gram=gram, nystrom=nystrom)
-                    for k in range(d)
+                    fit_kernel_gradient(x, gh.g[:, k], kconfig, cache=cache) for k in range(d)
                 ]
             else:
                 kernel_learners = [
-                    fit_kernel_gradient(x, gh.g[:, k], kconfig, cache=cache) for k in range(d)
+                    fit_kernel_newton(x, gh.g[:, k], gh.h[:, k], kconfig, gram=gram, nystrom=nystrom)
+                    for k in range(d)
                 ]
             kernel_pred = np.column_stack([train_apply @ kl.alpha for kl in kernel_learners])
             kernel_risk = empirical_risk(loss, y, scores + step * kernel_pred)
@@ -423,8 +429,15 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_number(value, name: str) -> float:
+    # float() would accept the string "0.09" and the boolean true
+    if type(value) not in (int, float):
+        raise ModelFormatError(f"field {name!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _tree_from_dict(doc: dict, n_features: int) -> TreeNode:
-    weight = float(doc["weight"])
+    weight = _json_number(doc["weight"], "weight")
     count = _json_int(doc["n"], "n")
     if not np.isfinite(weight):
         raise ModelFormatError("non-finite leaf weight")
@@ -433,7 +446,7 @@ def _tree_from_dict(doc: dict, n_features: int) -> TreeNode:
     if "feature" not in doc:
         return TreeNode(weight, count)
     feature = _json_int(doc["feature"], "feature")
-    threshold = float(doc["threshold"])
+    threshold = _json_number(doc["threshold"], "threshold")
     if not 0 <= feature < n_features:
         raise ModelFormatError(f"split feature {feature} out of range")
     if not np.isfinite(threshold):
@@ -532,7 +545,8 @@ def loads(text: str) -> Ensemble:
             if kernel["mode"] not in ("exact", "nystrom"):
                 raise ModelFormatError(f"unknown kernel mode {kernel['mode']!r}")
             samples = len(anchors) if kernel["mode"] == "nystrom" else None
-            kconfig = KernelConfig(float(kernel["rho"]), float(kernel["lambda"]), samples)
+            rho = _json_number(kernel["rho"], "rho")
+            kconfig = KernelConfig(rho, _json_number(kernel["lambda"], "lambda"), samples)
 
         iterations = []
         for it in doc["iterations"]:
@@ -554,9 +568,8 @@ def loads(text: str) -> Ensemble:
                         raise ModelFormatError("non-finite kernel coefficients")
                     learners.append(alpha)
             iterations.append(IterationLearners(tag, learners))
-        return Ensemble(
-            task, doc["loss"], float(doc["nu"]), f0, std, iterations, label_names, anchors, kconfig
-        )
+        nu = _json_number(doc["nu"], "nu")
+        return Ensemble(task, doc["loss"], nu, f0, std, iterations, label_names, anchors, kconfig)
     except ModelFormatError:
         raise
     except json.JSONDecodeError as exc:

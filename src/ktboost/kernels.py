@@ -9,12 +9,18 @@ the training rows. With D = diag(sqrt(h)) and y = -g/h the coefficients are
 
     alpha = D (D K D + lam I)^{-1} D y
 
-computed by Cholesky factorization. In gradient mode (h identically one)
-the system matrix K + lam*I is iteration-independent, so one factorization
-is cached and reused. The Nystrom variant replaces K by the low-rank
-approximation C W^{-1} C^T built from l uniformly sampled rows (C the n-by-l
-cross matrix, W the l-by-l sample Gram matrix); substituting the expansion
-f(x) = sum_j alpha_j K(sample_j, x) reduces the solve to the l-by-l system
+computed by Cholesky factorization. Whenever the Hessian is constant, the
+system matrix K + lam*I is iteration-independent, so one factorization is
+cached and reused for the whole fit: in gradient mode (h identically one)
+and for the squared loss in Newton mode, whose Hessian is exactly one too.
+Both modes build the system through the same code, so they give
+bit-identical coefficients for the squared loss. Exact mode holds two
+n-by-n matrices and refuses training sets for which they would exceed
+EXACT_GRAM_LIMIT_BYTES. The Nystrom variant replaces K by the low-rank
+approximation C W^{-1} C^T built from l uniformly sampled rows (C the
+n-by-l cross matrix, W the l-by-l sample Gram matrix); substituting the
+expansion f(x) = sum_j alpha_j K(sample_j, x) reduces the solve to the
+l-by-l system
 
     (lam W + C^T D^2 C) alpha = C^T (-g).
 """
@@ -24,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_solve
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, NumericalError
@@ -33,6 +39,10 @@ from .errors import DataError, NumericalError
 # relative to trace/dim; escalated tenfold per retry up to the limit.
 JITTER_START_EXP = -10
 JITTER_LIMIT_EXP = -4
+
+# Exact mode holds the n-by-n Gram matrix and its cached factor, 16*n^2
+# bytes; larger training sets must use Nystrom sampling.
+EXACT_GRAM_LIMIT_BYTES = 4 * 2**30
 
 # exp(-dbar^2/rho^2) = 0.01 at the mean neighbor distance dbar.
 DECAY01 = float(np.sqrt(np.log(100.0)))
@@ -97,26 +107,57 @@ class NystromFactor:
     cross: np.ndarray | None = None
 
 
+def cho_factor(matrix: np.ndarray) -> tuple:
+    """Cholesky factor of an SPD matrix, as the (factor, lower) pair cho_solve takes.
+
+    numpy's LAPACK computes it, the same OpenBLAS potrf as
+    scipy.linalg.cho_factor with bit-identical factors, so that a fit's
+    factorizations and matrix products share one BLAS thread pool (scipy
+    bundles a second OpenBLAS). Mixing the two on a 2-core machine, two
+    numpy products with a 5000-by-500 matrix issued within 0.1 s of a
+    threaded scipy factorization took 15-20 ms instead of about 1 ms,
+    while the idle pool's worker spun. The transposed lower factor is the
+    Fortran-ordered upper factor, which cho_solve reads without a copy.
+    """
+    return np.linalg.cholesky(matrix).T, False
+
+
 def factorize_spd(matrix: np.ndarray):
     """Cholesky with escalating diagonal jitter.
 
     Adds 10^k * trace/dim to the diagonal for k = -10..-4 until the
     factorization succeeds; past the limit the matrix is declared
-    numerically indefinite.
+    numerically indefinite. The jitter goes onto the matrix's own diagonal,
+    which is restored on return, so the matrix is not copied here.
     """
+    matrix = np.asarray(matrix, dtype=np.float64)
     dim = matrix.shape[0]
     base = float(np.trace(matrix)) / dim
-    for exponent in range(JITTER_START_EXP, JITTER_LIMIT_EXP + 1):
-        jittered = np.array(matrix, dtype=np.float64)
-        jittered.flat[:: dim + 1] += (10.0**exponent) * base
-        try:
-            return cho_factor(jittered, lower=True, overwrite_a=True, check_finite=False)
-        except LinAlgError:
-            continue
+    diagonal = matrix.diagonal().copy()
+    try:
+        for exponent in range(JITTER_START_EXP, JITTER_LIMIT_EXP + 1):
+            matrix.flat[:: dim + 1] = diagonal + (10.0**exponent) * base
+            try:
+                return cho_factor(matrix)
+            except LinAlgError:
+                continue
+    finally:
+        matrix.flat[:: dim + 1] = diagonal
     raise NumericalError(
         "Cholesky failed after jitter escalation; the kernel system is "
         "ill-conditioned for this rho/lambda"
     )
+
+
+def check_exact_gram_fits(n: int) -> None:
+    """Raise DataError when the exact-mode n-by-n matrices exceed the limit."""
+    need = 16 * n * n
+    if need > EXACT_GRAM_LIMIT_BYTES:
+        raise DataError(
+            f"exact kernel mode needs {need / 2**30:.1f} GiB for {n} training rows, "
+            f"over the {EXACT_GRAM_LIMIT_BYTES / 2**30:.1f} GiB limit; "
+            "use Nystrom sampling (--nystrom)"
+        )
 
 
 def gaussian_kernel(x1: np.ndarray, x2: np.ndarray, rho: float) -> float:
@@ -167,9 +208,22 @@ def nystrom_gram(factor: NystromFactor) -> np.ndarray:
     return c @ cho_solve(factor.inverse_factor, c.T, check_finite=False)
 
 
+def _exact_system(k: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
+    """D K D + lam*I with D = diag(s)."""
+    system = k * np.outer(s, s)
+    system.flat[:: system.shape[0] + 1] += lam
+    return system
+
+
+def _nystrom_system(nf: NystromFactor, h: np.ndarray, lam: float) -> np.ndarray:
+    """lam*W + C^T diag(h) C."""
+    c = nf.cross
+    return lam * nf.gram + c.T @ (c * h[:, None])
+
+
 @dataclass
 class GradientCache:
-    """Iteration-independent factorization for gradient-mode solves.
+    """Iteration-independent factorization for constant-Hessian solves.
 
     Exact mode caches a factor of K + lam*I; Nystrom mode caches a factor
     of lam*W + C^T C together with the cross matrix C.
@@ -187,15 +241,22 @@ def build_gradient_cache(
     gram: np.ndarray | None = None,
     nystrom: NystromFactor | None = None,
 ) -> GradientCache:
+    """Factorize the h = 1 system once, with the Newton solve's formulas.
+
+    Sharing the formulas keeps the cached path bit-identical to
+    fit_kernel_newton with a unit Hessian (C^T C as syrk, say, would round
+    differently from the Hessian-weighted product).
+    """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    ones = np.ones(x.shape[0])
     if config.nystrom_samples is not None or nystrom is not None:
         nf = nystrom if nystrom is not None else build_nystrom(x, config)
-        system = config.lam * nf.gram + nf.cross.T @ nf.cross
+        system = _nystrom_system(nf, ones, config.lam)
         return GradientCache(nf.samples, factorize_spd(system), nf.cross, "nystrom")
-    k = gram if gram is not None else kernel_matrix(x, x, config.rho)
-    system = np.array(k)
-    system.flat[:: system.shape[0] + 1] += config.lam
-    return GradientCache(x, factorize_spd(system), None, "exact")
+    if gram is None:
+        check_exact_gram_fits(x.shape[0])
+        gram = kernel_matrix(x, x, config.rho)
+    return GradientCache(x, factorize_spd(_exact_system(gram, ones, config.lam)), None, "exact")
 
 
 def fit_kernel_newton(
@@ -211,7 +272,8 @@ def fit_kernel_newton(
     ``gram`` (exact mode) or ``nystrom`` (low-rank mode) may carry
     precomputed kernel matrices; they are rebuilt from the features
     otherwise. The weighted system changes with h, so this factorizes on
-    every call.
+    every call; a constant Hessian should use fit_kernel_gradient with a
+    GradientCache instead.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     g = np.asarray(g, dtype=np.float64)
@@ -224,16 +286,15 @@ def fit_kernel_newton(
 
     if config.nystrom_samples is not None or nystrom is not None:
         nf = nystrom if nystrom is not None else build_nystrom(x, config)
-        c = nf.cross
-        system = config.lam * nf.gram + c.T @ (c * h[:, None])
-        alpha = cho_solve(factorize_spd(system), c.T @ (-g), check_finite=False)
+        system = _nystrom_system(nf, h, config.lam)
+        alpha = cho_solve(factorize_spd(system), nf.cross.T @ (-g), check_finite=False)
         return KernelLearner(nf.samples, alpha, config, "nystrom")
 
-    k = gram if gram is not None else kernel_matrix(x, x, config.rho)
+    if gram is None:
+        check_exact_gram_fits(n)
+        gram = kernel_matrix(x, x, config.rho)
     s = np.sqrt(h)
-    system = k * np.outer(s, s)
-    system.flat[:: n + 1] += config.lam
-    z = cho_solve(factorize_spd(system), -g / s, check_finite=False)
+    z = cho_solve(factorize_spd(_exact_system(gram, s, config.lam)), -g / s, check_finite=False)
     return KernelLearner(x, s * z, config, "exact")
 
 
@@ -245,10 +306,11 @@ def fit_kernel_gradient(
     gram: np.ndarray | None = None,
     nystrom: NystromFactor | None = None,
 ) -> KernelLearner:
-    """Gradient-mode solve alpha = (K + lam I)^{-1}(-g) via a shared factor.
+    """Constant-Hessian solve alpha = (K + lam I)^{-1}(-g) via a shared factor.
 
-    Equals fit_kernel_newton with h identically one; passing a cache skips
-    the per-call factorization entirely.
+    Equals fit_kernel_newton with h identically one, bit for bit, so it
+    serves gradient mode and the squared loss in Newton mode alike;
+    passing a cache skips the per-call factorization entirely.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     g = np.asarray(g, dtype=np.float64)

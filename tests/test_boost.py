@@ -327,13 +327,75 @@ def test_kernel_only_equals_plain_kernel_boosting():
 def test_newton_equals_gradient_for_squared_loss():
     # unit Hessians make the two modes take bitwise-identical steps
     data = _regression_data(seed=8)
-    base = dict(iterations=12, nu=0.2, rho=0.4, lam=1.5)
-    _, rep_newton = fit(data, BoostConfig(newton=True, **base))
-    _, rep_gradient = fit(data, BoostConfig(newton=False, **base))
-    assert rep_newton.train_risk == rep_gradient.train_risk
-    assert rep_newton.chosen == rep_gradient.chosen
-    assert rep_newton.tree_risk == rep_gradient.tree_risk
-    assert rep_newton.kernel_risk == rep_gradient.kernel_risk
+    val = _regression_data(n=30, seed=9)
+    for learner in ("ktboost", "kernel"):
+        for nystrom in (None, 20):
+            base = dict(iterations=12, nu=0.2, rho=0.4, lam=1.5, learner=learner,
+                        nystrom=nystrom, seed=4)
+            ens_newton, rep_newton = fit(data, BoostConfig(newton=True, **base), validation=val)
+            ens_gradient, rep_gradient = fit(data, BoostConfig(newton=False, **base), validation=val)
+            assert rep_newton.train_risk == rep_gradient.train_risk
+            assert rep_newton.chosen == rep_gradient.chosen
+            assert rep_newton.tree_risk == rep_gradient.tree_risk
+            assert rep_newton.kernel_risk == rep_gradient.kernel_risk
+            assert rep_newton.validation_risk == rep_gradient.validation_risk
+            assert dumps(ens_newton) == dumps(ens_gradient)
+
+
+def test_exact_gram_over_limit_fails_before_allocating(monkeypatch):
+    from ktboost import boost, kernels
+
+    data = _regression_data(n=60, seed=32)
+    monkeypatch.setattr(kernels, "EXACT_GRAM_LIMIT_BYTES", 16 * 59 * 59)
+
+    def n_by_n(*args, **kwargs):
+        raise AssertionError("n-by-n allocation before the limit check")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(boost, "select_rho", n_by_n)
+        mp.setattr(boost, "kernel_matrix", n_by_n)
+        for learner in ("ktboost", "kernel"):
+            with pytest.raises(DataError, match="--nystrom"):
+                fit(data, BoostConfig(iterations=2, learner=learner, rho_mode="decay01"))
+        with pytest.raises(DataError, match="--nystrom"):
+            build_gradient_cache(data.features, KernelConfig(rho=0.5, lam=1.0))
+    # tree-only and Nystrom fits hold no n-by-n matrix
+    fit(data, BoostConfig(iterations=2, learner="tree"))
+    fit(data, BoostConfig(iterations=2, learner="kernel", rho_mode="decay01", nystrom=10))
+    monkeypatch.setattr(kernels, "EXACT_GRAM_LIMIT_BYTES", 16 * 60 * 60)
+    fit(data, BoostConfig(iterations=2, learner="kernel", rho=0.5))
+
+
+def _count_factorizations(monkeypatch):
+    from ktboost import kernels
+
+    calls = []
+    real = kernels.cho_factor
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "cho_factor", counting)
+    return calls
+
+
+@pytest.mark.parametrize("nystrom, expected", [(None, 1), (10, 2)])
+def test_squared_loss_newton_factorizes_once(monkeypatch, nystrom, expected):
+    # h == 1 keeps K + lam*I fixed, so one factor serves all ten rounds;
+    # Nystrom adds the factor of W. lam >= 1 keeps jitter retries away.
+    calls = _count_factorizations(monkeypatch)
+    config = BoostConfig(iterations=10, learner="kernel", rho=0.5, lam=2.0, nystrom=nystrom, seed=1)
+    _, report = fit(_regression_data(seed=30), config)
+    assert report.chosen == ["kernel"] * 10
+    assert len(calls) == expected
+
+
+def test_logistic_newton_factorizes_every_round(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    config = BoostConfig(iterations=10, learner="kernel", rho=1.0, lam=2.0)
+    fit(_binary_data(seed=31), config)
+    assert len(calls) == 10
 
 
 # ------------------------------------------------------ validation control
@@ -590,6 +652,15 @@ def test_load_rejects_malformed_documents():
         assert count == 1
         with pytest.raises(ModelFormatError):
             loads(bad)
+    # real-valued fields must be JSON numbers: no strings, no booleans
+    kernel_text = dumps(kernel_ens)
+    for key, text_ in (("weight", tree_text), ("threshold", tree_text), ("nu", tree_text),
+                       ("rho", kernel_text), ("lambda", kernel_text)):
+        for repl in (rf'"{key}":"\1"', f'"{key}":true'):
+            bad, count = re.subn(rf'"{key}":(-?[0-9][0-9.e+-]*)', repl, text_, count=1)
+            assert count == 1
+            with pytest.raises(ModelFormatError):
+                loads(bad)
 
 
 def test_load_rejects_wrong_loss_for_task():

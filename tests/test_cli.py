@@ -96,6 +96,22 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_exact_gram_over_limit_exits_two(tmp_path, capsys, monkeypatch):
+    from ktboost import kernels
+
+    monkeypatch.setattr(kernels, "EXACT_GRAM_LIMIT_BYTES", 16 * 79 * 79)
+    data = _write_regression_csv(tmp_path / "d.csv")
+    assert run_cli(["train", "--data", str(data), "--task", "regression",
+                    "--rho", "0.5", "--iterations", "2",
+                    "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert "--nystrom" in err
+    assert "Traceback" not in err
+    assert run_cli(["train", "--data", str(data), "--task", "regression",
+                    "--rho", "0.5", "--iterations", "2", "--nystrom", "10",
+                    "--out", str(tmp_path / "m.json")]) == 0
+
+
 def test_numerical_errors_exit_three(tmp_path, capsys):
     # overflow-scale residuals make the squared risk leave float range
     path = tmp_path / "huge.csv"

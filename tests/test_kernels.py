@@ -254,17 +254,17 @@ def test_nystrom_error_shrinks_with_sample_count():
 
 def test_nystrom_gradient_cache_matches_fresh():
     rng = np.random.default_rng(15)
-    x = rng.uniform(-2, 2, size=(50, 2))
-    g = rng.normal(size=50)
-    config = KernelConfig(rho=1.0, lam=1.0, nystrom_samples=10, seed=5)
+    x = rng.uniform(-2, 2, size=(80, 2))
+    g = rng.normal(size=80)
+    config = KernelConfig(rho=1.0, lam=1.0, nystrom_samples=20, seed=5)
     cache = build_gradient_cache(x, config)
     a = fit_kernel_gradient(x, g, config)
     b = fit_kernel_gradient(x, g, config, cache=cache)
     assert np.array_equal(a.alpha, b.alpha)
     assert a.mode == b.mode == "nystrom"
-    # gradient mode agrees with unit-Hessian Newton in low-rank mode too
-    c = fit_kernel_newton(x, g, np.ones(50), config)
-    assert np.allclose(a.alpha, c.alpha, atol=1e-10)
+    # gradient mode equals unit-Hessian Newton bit for bit in low-rank mode too
+    c = fit_kernel_newton(x, g, np.ones(80), config)
+    assert np.array_equal(a.alpha, c.alpha)
 
 
 def test_build_nystrom_without_cross():
@@ -286,18 +286,24 @@ def test_factorize_spd_plain_and_jittered():
     rng = np.random.default_rng(17)
     a = rng.normal(size=(6, 6))
     spd = a @ a.T + 6 * np.eye(6)
+    original = spd.copy()
     factor = factorize_spd(spd)
     b = rng.normal(size=6)
     assert np.allclose(cho_solve(factor, b), np.linalg.solve(spd, b), atol=1e-8)
+    # the jitter goes onto the input's diagonal only while factorizing
+    assert np.array_equal(spd, original)
     # tiny negative eigenvalue: jitter escalation rescues the factorization
     nearly = np.diag([1.0, 1.0, -1e-9])
     factor = factorize_spd(nearly)
     assert np.all(np.isfinite(factor[0]))
+    assert np.array_equal(nearly, np.diag([1.0, 1.0, -1e-9]))
 
 
 def test_factorize_spd_gives_up_on_indefinite():
+    indefinite = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(NumericalError):
-        factorize_spd(np.diag([1.0, 1.0, -1.0]))
+        factorize_spd(indefinite)
+    assert np.array_equal(indefinite, np.diag([1.0, 1.0, -1.0]))
 
 
 # ---------------------------------------------------------------- bandwidth

@@ -320,3 +320,19 @@ def test_deep_tree_fits_training_data():
     g = rng.normal(size=16)
     tree = fit_tree(x, g, np.ones(16), max_depth=16)
     assert np.allclose(predict_tree_batch(tree, x), -g, atol=1e-12)
+
+
+def test_split_midpoint_near_float_max_stays_finite():
+    # the best split lies between -1e308 and -0.9e308, whose sum overflows
+    from ktboost import dumps, loads, predict
+
+    x = np.array([[-1.7e308], [-1e308], [-0.9e308], [-0.5e308]])
+    y = np.array([0.0, 0.0, 5.0, 5.0])
+    config = BoostConfig(iterations=1, learner="tree", max_depth=1, standardize=False)
+    model, _ = fit(Dataset(x, y, "regression"), config)
+    root = model.iterations[0].learners[0].root
+    assert np.isfinite(root.threshold)
+    assert root.left.n_samples >= 1 and root.right.n_samples >= 1
+    xs = np.sort(x[:, 0])
+    assert xs[0] <= root.threshold < xs[-1]
+    assert np.array_equal(predict(loads(dumps(model)), x), predict(model, x))
