@@ -84,7 +84,6 @@ from .losses import (
 )
 from .trees import (
     Tree,
-    TreeNode,
     fit_tree,
     predict_tree,
     predict_tree_batch,

@@ -12,12 +12,19 @@ Validation data, when supplied, is scored after every iteration; the
 report marks the risk-argmin iteration, which is how the iteration count
 is tuned downstream.
 
-Models persist as canonical JSON (sorted keys, repr-precision floats), so
-identical models serialize to identical bytes.
+Models persist as canonical JSON (format version 3: sorted keys, compact
+separators), so identical models serialize to identical bytes. Scalars
+are JSON numbers; every array is base64 of its little-endian float64 or
+int32 bytes, so floats round-trip exactly. All trees share one block of
+concatenated preorder node arrays (see trees.py) and all kernel rounds
+one alpha block, and ``rounds`` spells the learner of each iteration.
+Loading checks the whole document, every tree's links included, before
+it builds the model.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -35,14 +42,18 @@ from .kernels import (
     check_exact_gram_fits,
     fit_kernel_gradient,
     fit_kernel_newton,
+    kernel_block_rows,
     kernel_matrix,
     nystrom_indices,
     select_rho,
 )
 from .losses import LossFunction, for_task, gradient_hessian, loss_values, optimal_constant
-from .trees import Tree, TreeNode, fit_tree, predict_tree_batch, presort_features
+from .trees import Tree, fit_tree, predict_tree_batch, presort_features
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+_FLOAT, _INT = "<f8", "<i4"
+_TREE_FIELDS = (("feature", _INT), ("threshold", _FLOAT), ("left", _INT),
+                ("right", _INT), ("value", _FLOAT), ("n", _INT))
 
 LEARNER_CHOICES = ("ktboost", "tree", "kernel")
 SELECTION_MODES = ("damped", "undamped")
@@ -371,7 +382,8 @@ def predict(ensemble: Ensemble, features: np.ndarray, truncate_at: int | None = 
     """Score matrix f0 + nu * sum of admitted learners, one column per output.
 
     The alphas of all kernel rounds are summed first, so the kernel part is
-    one kernel matrix product whatever the iteration count.
+    one kernel matrix product whatever the iteration count. That matrix is
+    built in row blocks of at most kernels.KERNEL_BLOCK_LIMIT_BYTES.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     xs = ensemble.standardizer.transform(x)
@@ -391,8 +403,12 @@ def predict(ensemble: Ensemble, features: np.ndarray, truncate_at: int | None = 
     if kernel_rounds:
         # sum() adds the rounds one by one, in the order fit admitted them.
         alphas = np.column_stack([sum(per_output) for per_output in zip(*kernel_rounds)])
-        kmat = kernel_matrix(xs, ensemble.anchors, ensemble.kernel_config.rho)
-        scores += ensemble.nu * (kmat @ alphas)
+        rho = ensemble.kernel_config.rho
+        step = kernel_block_rows(len(ensemble.anchors))
+        for first in range(0, xs.shape[0], step):
+            block = slice(first, first + step)
+            kmat = kernel_matrix(xs[block], ensemble.anchors, rho)
+            scores[block] += ensemble.nu * (kmat @ alphas)
     return scores
 
 
@@ -412,23 +428,6 @@ def predict_labels(ensemble: Ensemble, features: np.ndarray, truncate_at: int | 
     return np.argmax(predict_proba(ensemble, features, truncate_at), axis=1)
 
 
-def _tree_to_dict(node: TreeNode) -> dict:
-    out = {"weight": float(node.weight), "n": int(node.n_samples)}
-    if not node.is_leaf:
-        out["feature"] = int(node.feature)
-        out["threshold"] = float(node.threshold)
-        out["left"] = _tree_to_dict(node.left)
-        out["right"] = _tree_to_dict(node.right)
-    return out
-
-
-def _json_int(value, name: str) -> int:
-    # bool is a subclass of int, and int() would truncate 1.9 to 1
-    if type(value) is not int:
-        raise ModelFormatError(f"tree field {name!r} must be an integer, got {value!r}")
-    return value
-
-
 def _json_number(value, name: str) -> float:
     # float() would accept the string "0.09" and the boolean true
     if type(value) not in (int, float):
@@ -436,61 +435,108 @@ def _json_number(value, name: str) -> float:
     return float(value)
 
 
-def _tree_from_dict(doc: dict, n_features: int) -> TreeNode:
-    weight = _json_number(doc["weight"], "weight")
-    count = _json_int(doc["n"], "n")
-    if not np.isfinite(weight):
-        raise ModelFormatError("non-finite leaf weight")
-    if count < 1:
-        raise ModelFormatError(f"tree node with {count} samples")
-    if "feature" not in doc:
-        return TreeNode(weight, count)
-    feature = _json_int(doc["feature"], "feature")
-    threshold = _json_number(doc["threshold"], "threshold")
-    if not 0 <= feature < n_features:
-        raise ModelFormatError(f"split feature {feature} out of range")
-    if not np.isfinite(threshold):
-        raise ModelFormatError("non-finite split threshold")
-    return TreeNode(
-        weight,
-        count,
-        feature,
-        threshold,
-        _tree_from_dict(doc["left"], n_features),
-        _tree_from_dict(doc["right"], n_features),
-    )
+def _pack(values, dtype: str) -> str:
+    return base64.b64encode(np.ascontiguousarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
-def _learner_to_dict(tag: str, learner) -> dict:
-    if tag == "tree":
-        return _tree_to_dict(learner.root)
-    return {"alpha": learner.tolist()}
+def _unpack(value, dtype: str) -> np.ndarray:
+    """Read-only array of a base64 field.
+
+    b64decode raises TypeError for a non-string and binascii.Error, a
+    ValueError, for stray characters; frombuffer raises ValueError for a
+    byte count that is not a multiple of the item size.
+    """
+    return np.frombuffer(base64.b64decode(value, validate=True), dtype=dtype)
+
+
+def _pack_trees(trees: list[Tree]) -> dict:
+    """All trees of a model as one set of concatenated node arrays."""
+    sizes = np.array([t.feature.size for t in trees], dtype=np.int64)
+    doc = {"start": _pack(np.cumsum(sizes) - sizes, _INT)}
+    for name, dtype in _TREE_FIELDS:
+        doc[name] = _pack(np.concatenate([getattr(t, name) for t in trees] or [[]]), dtype)
+    return doc
+
+
+def _unpack_trees(doc: dict, n_features: int) -> list[Tree]:
+    """Trees of a packed block, checked as one forest; each is a view of the block."""
+    start = _unpack(doc["start"], _INT)
+    arrays = {name: _unpack(doc[name], dtype) for name, dtype in _TREE_FIELDS}
+    total = arrays["feature"].size
+    if any(a.size != total for a in arrays.values()):
+        raise ModelFormatError("tree node arrays differ in length")
+    if start.size == 0:
+        if total:
+            raise ModelFormatError("tree nodes without a tree")
+        return []
+    sizes = np.diff(start, append=total)
+    if start[0] != 0 or np.any(sizes < 1):
+        raise ModelFormatError("tree start offsets must rise from 0 within the node arrays")
+    if not (np.all(np.isfinite(arrays["threshold"])) and np.all(np.isfinite(arrays["value"]))):
+        raise ModelFormatError("non-finite tree threshold or value")
+    feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
+    if np.any(arrays["n"] < 1):
+        raise ModelFormatError("tree node without training rows")
+    if np.any(feature < -1) or np.any(feature >= n_features):
+        raise ModelFormatError(f"split feature outside -1..{n_features - 1}")
+    leaf = feature < 0
+    if np.any((left < 0) != leaf) or np.any((right < 0) != leaf):
+        raise ModelFormatError("leaves must have feature and both children -1, splits none")
+    # Tree-local indices: the left child follows its parent, the right
+    # child lies after it in the same tree.
+    tree_of = np.repeat(np.arange(start.size), sizes)
+    local = np.arange(total) - start[tree_of]
+    inner = ~leaf
+    if np.any(left[inner] != local[inner] + 1):
+        raise ModelFormatError("a left child must directly follow its parent")
+    if np.any(right[inner] <= left[inner]) or np.any(right[inner] >= sizes[tree_of[inner]]):
+        raise ModelFormatError("a right child must lie after the left child in the same tree")
+    # Forward links with one parent per non-root node make each tree a
+    # tree: every node is reachable from its root exactly once.
+    base = start[tree_of[inner]]
+    parents = np.bincount(np.concatenate([base + left[inner], base + right[inner]]), minlength=total)
+    if np.any(parents != (local > 0)):
+        raise ModelFormatError("every node but the root needs exactly one parent")
+    ends = np.append(start[1:], total)
+    return [
+        Tree(*(arrays[name][a:b] for name, _ in _TREE_FIELDS))
+        for a, b in zip(start.tolist(), ends.tolist())
+    ]
 
 
 def dumps(ensemble: Ensemble) -> str:
-    """Canonical JSON: sorted keys, compact separators, repr floats."""
+    """Canonical JSON: sorted keys, compact separators, base64 arrays.
+
+    Every array is base64 of its little-endian bytes. Tree rounds share
+    one packed block of node arrays, kernel rounds one (rounds * outputs,
+    anchors) alpha block; ``rounds`` spells the learner order.
+    """
     cfg = ensemble.kernel_config
+    rounds = ensemble.iterations
+    kernel = None
+    if ensemble.anchors is not None:
+        alphas = [a for it in rounds if it.tag == "kernel" for a in it.learners]
+        kernel = {
+            "alpha": _pack(np.concatenate(alphas) if alphas else [], _FLOAT),
+            "anchors": _pack(ensemble.anchors, _FLOAT),
+            "rho": float(cfg.rho),
+            "lambda": float(cfg.lam),
+            "mode": "exact" if cfg.nystrom_samples is None else "nystrom",
+        }
     doc = {
         "format_version": FORMAT_VERSION,
         "task": ensemble.task,
         "loss": ensemble.loss_kind,
         "nu": float(ensemble.nu),
-        "f0": ensemble.f0.tolist(),
+        "f0": _pack(ensemble.f0, _FLOAT),
         "standardizer": {
-            "means": ensemble.standardizer.means.tolist(),
-            "scales": ensemble.standardizer.scales.tolist(),
+            "means": _pack(ensemble.standardizer.means, _FLOAT),
+            "scales": _pack(ensemble.standardizer.scales, _FLOAT),
         },
         "label_map": list(ensemble.label_names) if ensemble.label_names else None,
-        "kernel": None if ensemble.anchors is None else {
-            "anchors": ensemble.anchors.tolist(),
-            "rho": float(cfg.rho),
-            "lambda": float(cfg.lam),
-            "mode": "exact" if cfg.nystrom_samples is None else "nystrom",
-        },
-        "iterations": [
-            {"tag": it.tag, "per_class": [_learner_to_dict(it.tag, l) for l in it.learners]}
-            for it in ensemble.iterations
-        ],
+        "rounds": "".join(it.tag[0] for it in rounds),
+        "trees": _pack_trees([t for it in rounds if it.tag == "tree" for t in it.learners]),
+        "kernel": kernel,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
@@ -502,22 +548,32 @@ def save(ensemble: Ensemble, path) -> None:
 
 
 def load(path) -> Ensemble:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    return loads(text)
 
 
 def loads(text: str) -> Ensemble:
     try:
         doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"not a valid model file: {exc}") from exc
+    except RecursionError as exc:
+        # json's parser recurses per nesting level; a model nests three deep
+        raise ModelFormatError("model document nests too deeply") from exc
+    try:
         if doc.get("format_version") != FORMAT_VERSION:
             raise ModelFormatError(
                 f"unsupported format version {doc.get('format_version')!r}"
             )
         task = doc["task"]
-        f0 = np.asarray(doc["f0"], dtype=np.float64)
+        f0 = _unpack(doc["f0"], _FLOAT)
         std = Standardizer(
-            np.asarray(doc["standardizer"]["means"], dtype=np.float64),
-            np.asarray(doc["standardizer"]["scales"], dtype=np.float64),
+            _unpack(doc["standardizer"]["means"], _FLOAT),
+            _unpack(doc["standardizer"]["scales"], _FLOAT),
         )
         n_features = std.n_features
         label_map = doc["label_map"]
@@ -534,48 +590,51 @@ def loads(text: str) -> Ensemble:
         if doc["loss"] != expected:
             raise ModelFormatError(f"loss {doc['loss']!r} does not fit task {task!r}")
 
+        rounds = doc["rounds"]
+        if rounds.strip("tk"):  # AttributeError for a non-string
+            raise ModelFormatError("rounds must be a string of 't' and 'k'")
+        d = f0.shape[0]
+        trees = _unpack_trees(doc["trees"], n_features)
+        if len(trees) != rounds.count("t") * d:
+            raise ModelFormatError(f"{len(trees)} trees for {rounds.count('t')} tree rounds of {d} outputs")
+
         kernel = doc["kernel"]
-        anchors = kconfig = None
+        anchors = kconfig = alphas = None
         if kernel is not None:
-            anchors = np.asarray(kernel["anchors"], dtype=np.float64)
-            if anchors.ndim != 2 or anchors.shape[1] != n_features:
-                raise ModelFormatError("anchor matrix shape mismatch")
-            if not np.all(np.isfinite(anchors)):
-                raise ModelFormatError("non-finite kernel anchors")
             if kernel["mode"] not in ("exact", "nystrom"):
                 raise ModelFormatError(f"unknown kernel mode {kernel['mode']!r}")
+            anchors = _unpack(kernel["anchors"], _FLOAT)
+            if n_features < 1 or anchors.size == 0 or anchors.size % n_features:
+                raise ModelFormatError("anchor matrix shape mismatch")
+            anchors = anchors.reshape(-1, n_features)
+            if not np.all(np.isfinite(anchors)):
+                raise ModelFormatError("non-finite kernel anchors")
+            alphas = _unpack(kernel["alpha"], _FLOAT)
+            if alphas.size != rounds.count("k") * d * len(anchors):
+                raise ModelFormatError("kernel alpha needs one row per kernel round and output, "
+                                       "one entry per anchor")
+            if not np.all(np.isfinite(alphas)):
+                raise ModelFormatError("non-finite kernel coefficients")
+            alphas = alphas.reshape(-1, len(anchors))
             samples = len(anchors) if kernel["mode"] == "nystrom" else None
             rho = _json_number(kernel["rho"], "rho")
             kconfig = KernelConfig(rho, _json_number(kernel["lambda"], "lambda"), samples)
+        elif "k" in rounds:
+            raise ModelFormatError("kernel rounds without a kernel block")
 
         iterations = []
-        for it in doc["iterations"]:
-            tag = it["tag"]
-            per_class = it["per_class"]
-            if len(per_class) != f0.shape[0]:
-                raise ModelFormatError("per_class length disagrees with f0")
-            learners = []
-            for entry in per_class:
-                if tag == "tree":
-                    tree = Tree(_tree_from_dict(entry, n_features), 0, n_features)
-                    tree.max_depth = tree.depth()
-                    learners.append(tree)
-                else:
-                    alpha = np.asarray(entry["alpha"], dtype=np.float64)
-                    if anchors is None or alpha.shape != (len(anchors),):
-                        raise ModelFormatError("kernel alpha needs one entry per anchor")
-                    if not np.all(np.isfinite(alpha)):
-                        raise ModelFormatError("non-finite kernel coefficients")
-                    learners.append(alpha)
-            iterations.append(IterationLearners(tag, learners))
+        t = k = 0
+        for c in rounds:
+            if c == "t":
+                iterations.append(IterationLearners("tree", trees[t:t + d]))
+                t += d
+            else:
+                iterations.append(IterationLearners("kernel", list(alphas[k:k + d])))
+                k += d
         nu = _json_number(doc["nu"], "nu")
         return Ensemble(task, doc["loss"], nu, f0, std, iterations, label_names, anchors, kconfig)
     except ModelFormatError:
         raise
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not a valid model file: {exc}") from exc
-    except RecursionError as exc:
-        raise ModelFormatError("model document nests too deeply") from exc
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
     except (ValueError, OverflowError) as exc:

@@ -235,6 +235,8 @@ def load_csv(
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
 
@@ -331,6 +333,8 @@ def load_features(path, header: bool = True) -> tuple[np.ndarray, tuple[str, ...
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
     names = None

@@ -44,6 +44,11 @@ JITTER_LIMIT_EXP = -4
 # bytes; larger training sets must use Nystrom sampling.
 EXACT_GRAM_LIMIT_BYTES = 4 * 2**30
 
+# Batch prediction builds the rows-by-anchors kernel matrix in row blocks
+# of at most this many bytes (8 per entry), so its memory does not grow
+# with the batch.
+KERNEL_BLOCK_LIMIT_BYTES = 64 * 2**20
+
 # exp(-dbar^2/rho^2) = 0.01 at the mean neighbor distance dbar.
 DECAY01 = float(np.sqrt(np.log(100.0)))
 
@@ -158,6 +163,11 @@ def check_exact_gram_fits(n: int) -> None:
             f"over the {EXACT_GRAM_LIMIT_BYTES / 2**30:.1f} GiB limit; "
             "use Nystrom sampling (--nystrom)"
         )
+
+
+def kernel_block_rows(n_anchors: int) -> int:
+    """Rows per block of a kernel matrix against n_anchors, at least one."""
+    return max(1, KERNEL_BLOCK_LIMIT_BYTES // (8 * n_anchors))
 
 
 def gaussian_kernel(x1: np.ndarray, x2: np.ndarray, rho: float) -> float:

@@ -9,6 +9,16 @@ are the node's gradient and Hessian sums. Leaf weights are -G/H. Depth
 counts edges from the root, so max_depth=1 is a stump. Rows with
 x[feature] <= threshold go left.
 
+A tree is six parallel arrays over its nodes in preorder (each node
+before its subtrees, the left subtree before the right one):
+
+    feature    int32    split feature, -1 at leaves
+    threshold  float64  split threshold, 0.0 at leaves
+    left       int32    index of the left child, i + 1; -1 at leaves
+    right      int32    index of the right child; -1 at leaves
+    value      float64  -G/H of the node's rows, internal nodes included
+    n          int32    number of training rows in the node
+
 Features are sorted once per fit (``presort_features``), not per node:
 each node carries a (p, m) block whose row j lists the node's m rows in
 ascending order of feature j, ties by row index. A split partitions every
@@ -40,43 +50,28 @@ def presort_features(features: np.ndarray) -> np.ndarray:
     return np.argsort(x.T, axis=1, kind="stable").astype(np.int32)
 
 
-@dataclass
-class TreeNode:
-    weight: float
-    n_samples: int
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
+@dataclass(eq=False)
 class Tree:
-    """Binary axis-aligned partition with one weight per leaf."""
+    """Binary axis-aligned partition as preorder node arrays (module docstring)."""
 
-    root: TreeNode
-    max_depth: int
-    n_features: int
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n: np.ndarray
 
     def n_leaves(self) -> int:
-        def count(node):
-            if node.is_leaf:
-                return 1
-            return count(node.left) + count(node.right)
-
-        return count(self.root)
+        return int(np.count_nonzero(self.feature < 0))
 
     def depth(self) -> int:
-        def down(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(down(node.left), down(node.right))
-
-        return down(self.root)
+        level, nodes = 0, np.zeros(1, dtype=np.intp)
+        while True:
+            nodes = nodes[self.feature[nodes] >= 0]
+            if nodes.size == 0:
+                return level
+            nodes = np.concatenate([self.left[nodes], self.right[nodes]])
+            level += 1
 
 
 def fit_tree(
@@ -118,16 +113,24 @@ def fit_tree(
     xt = np.ascontiguousarray(x.T)
     goes_left = np.zeros(n, dtype=bool)
 
-    # Each entry: the node to fill, its rows in ascending order, its sorted
-    # block (row j = the same rows ordered by feature j) and its depth. A
-    # block is dropped as soon as its children's blocks are cut from it.
-    root = TreeNode(0.0, 0)
-    stack = [(root, np.arange(n), order, 0)]
+    feature, threshold, right, value, count = [], [], [], [], []
+    # Each entry: the node whose right child this is (-1 otherwise), the
+    # node's rows in ascending order, its sorted block (row j = the same
+    # rows ordered by feature j) and its depth. The left child is pushed
+    # last, so nodes are popped, and numbered, in preorder. A block is
+    # dropped as soon as its children's blocks are cut from it.
+    stack = [(-1, np.arange(n), order, 0)]
     while stack:
-        node, idx, block, depth = stack.pop()
+        parent, idx, block, depth = stack.pop()
+        i = len(value)
+        if parent >= 0:
+            right[parent] = i
         total_h = float(np.sum(h[idx]))
-        node.weight = -float(np.sum(g[idx])) / total_h if total_h > 0 else 0.0
-        node.n_samples = idx.size
+        value.append(-float(np.sum(g[idx])) / total_h if total_h > 0 else 0.0)
+        count.append(idx.size)
+        feature.append(-1)
+        threshold.append(0.0)
+        right.append(-1)
         if depth >= max_depth or idx.size < 2 * min_samples_leaf:
             continue
         best_gain = -np.inf
@@ -141,37 +144,58 @@ def fit_tree(
         if best_gain <= 0.0:
             continue
         mask = xt[best_feature, idx] <= best_thr
-        left, right = idx[mask], idx[~mask]
-        goes_left[left] = True
+        lrows, rrows = idx[mask], idx[~mask]
+        goes_left[lrows] = True
         sel = goes_left[block]
-        goes_left[left] = False
-        node.feature, node.threshold = best_feature, best_thr
-        node.left, node.right = TreeNode(0.0, 0), TreeNode(0.0, 0)
-        stack.append((node.right, right, block[~sel].reshape(p, right.size), depth + 1))
-        stack.append((node.left, left, block[sel].reshape(p, left.size), depth + 1))
-    return Tree(root, max_depth, p)
+        goes_left[lrows] = False
+        feature[i], threshold[i] = best_feature, best_thr
+        stack.append((i, rrows, block[~sel].reshape(p, rrows.size), depth + 1))
+        stack.append((-1, lrows, block[sel].reshape(p, lrows.size), depth + 1))
+    feature = np.array(feature, dtype=np.int32)
+    left = np.where(feature >= 0, np.arange(1, feature.size + 1, dtype=np.int32), np.int32(-1))
+    return Tree(
+        feature,
+        np.array(threshold, dtype=np.float64),
+        left,
+        np.array(right, dtype=np.int32),
+        np.array(value, dtype=np.float64),
+        np.array(count, dtype=np.int32),
+    )
 
 
 def predict_tree(tree: Tree, x: np.ndarray) -> float:
     """Weight of the unique leaf containing x."""
     x = np.asarray(x, dtype=np.float64)
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.weight
+    i = 0
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return float(tree.value[i])
 
 
 def predict_tree_batch(tree: Tree, features: np.ndarray) -> np.ndarray:
-    """Vectorized leaf lookup for a feature matrix."""
-    x = np.asarray(features, dtype=np.float64)
-    out = np.empty(x.shape[0])
-    stack = [(tree.root, np.arange(x.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            out[idx] = node.weight
+    """Vectorized leaf lookup for a feature matrix.
+
+    All rows descend one level per step until each sits in a leaf; rows
+    that reach a leaf early stay there.
+    """
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    n, p = x.shape
+    feature, threshold, right, value = tree.feature, tree.threshold, tree.right, tree.value
+    if n == 0 or feature[0] < 0:
+        return np.full(n, value[0])
+    # Row i's feature j is flat[offset[i] + j]: take() on flat arrays is
+    # cheaper than fancy indexing. The left child of node i is i + 1.
+    flat = x.reshape(-1)
+    offset = np.arange(0, n * p, p)
+    node = np.where(x[:, feature[0]] <= threshold[0], 1, right[0])
+    while True:
+        f = feature.take(node)
+        inner = f >= 0
+        if inner.all():
+            node = np.where(flat.take(offset + f) <= threshold.take(node), node + 1, right.take(node))
+        elif inner.any():
+            col = np.where(inner, f, 0)
+            step = np.where(flat.take(offset + col) <= threshold.take(node), node + 1, right.take(node))
+            node = np.where(inner, step, node)
         else:
-            mask = x[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-    return out
+            return value.take(node)

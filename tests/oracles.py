@@ -7,10 +7,12 @@ and kernel matrices via explicit loops. Tests freeze expectations against
 these, never against the code under test.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ktboost._split_scan_py import best_split
-from ktboost.trees import Tree, TreeNode
+from ktboost.trees import Tree
 
 
 # ------------------------------------------------------------------ trees
@@ -80,15 +82,27 @@ def oracle_tree(x, g, h, max_depth, min_leaf=1):
     return build(np.arange(x.shape[0]), 0)
 
 
+@dataclass
+class Node:
+    """A linked tree node, named like the oracle_tree dict keys."""
+
+    weight: float
+    n: int
+    feature: int = -1
+    threshold: float = 0.0
+    left: "Node | None" = None
+    right: "Node | None" = None
+
+
 def argsort_tree(x, g, h, max_depth, min_samples_leaf=1):
     """The grower before presorting: a stable argsort per node and feature.
 
     Same split scan as the library, so a presorted grower that feeds the
-    scan the same arrays must match this one bit for bit.
+    scan the same arrays must match this one bit for bit. Returns a Node.
     """
     n, p = x.shape
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
+    def grow(idx: np.ndarray, depth: int) -> Node:
         gs = g[idx]
         hs = h[idx]
         total_h = float(np.sum(hs))
@@ -110,7 +124,7 @@ def argsort_tree(x, g, h, max_depth, min_samples_leaf=1):
                     best_gain, best_feature, best_thr = gain, j, thr
             if best_gain > 0.0:
                 mask = x[idx, best_feature] <= best_thr
-                return TreeNode(
+                return Node(
                     weight,
                     idx.size,
                     best_feature,
@@ -118,9 +132,9 @@ def argsort_tree(x, g, h, max_depth, min_samples_leaf=1):
                     grow(idx[mask], depth + 1),
                     grow(idx[~mask], depth + 1),
                 )
-        return TreeNode(weight, idx.size)
+        return Node(weight, idx.size)
 
-    return Tree(grow(np.arange(n), 0), max_depth, p)
+    return grow(np.arange(n), 0)
 
 
 def oracle_tree_predict(node, row):
@@ -129,18 +143,49 @@ def oracle_tree_predict(node, row):
     return node["weight"]
 
 
-def assert_same_tree(node, ref, rtol=1e-9, atol=1e-12):
-    """Recursively compare a fitted TreeNode against an oracle dict."""
-    assert node.n_samples == ref["n"]
-    assert np.isclose(node.weight, ref["weight"], rtol=rtol, atol=atol)
-    if "feature" in ref:
-        assert not node.is_leaf, "oracle splits where the tree does not"
-        assert node.feature == ref["feature"]
-        assert node.threshold == ref["threshold"]
-        assert_same_tree(node.left, ref["left"], rtol, atol)
-        assert_same_tree(node.right, ref["right"], rtol, atol)
-    else:
-        assert node.is_leaf, "tree splits where the oracle does not"
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "n")
+
+
+def flatten(tree) -> dict:
+    """The six preorder node arrays of ``ktboost.trees.Tree`` for a tree.
+
+    ``tree`` is a Node, an oracle_tree dict, or a Tree (returned as is).
+    Walks the links recursively, independently of the library's grower.
+    """
+    if isinstance(tree, Tree):
+        return {name: getattr(tree, name) for name in TREE_FIELDS}
+    cols = {name: [] for name in TREE_FIELDS}
+
+    def visit(node):
+        if not isinstance(node, dict):
+            node = vars(node)
+        i = len(cols["value"])
+        cols["value"].append(node["weight"])
+        cols["n"].append(node["n"])
+        if node.get("left") is None:
+            for name, leaf in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
+                cols[name].append(leaf)
+            return
+        cols["feature"].append(node["feature"])
+        cols["threshold"].append(node["threshold"])
+        cols["left"].append(i + 1)
+        cols["right"].append(-1)
+        visit(node["left"])
+        cols["right"][i] = len(cols["value"])
+        visit(node["right"])
+
+    visit(tree)
+    floats = ("threshold", "value")
+    return {name: np.array(v, dtype=np.float64 if name in floats else np.int32)
+            for name, v in cols.items()}
+
+
+def assert_same_tree(tree, ref):
+    """All six node arrays of two trees are equal, dtype and bits included."""
+    got, want = flatten(tree), flatten(ref)
+    for name in TREE_FIELDS:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tobytes() == want[name].tobytes(), (name, got[name], want[name])
 
 
 def tree_objective(g, h, pred):

@@ -174,7 +174,7 @@ def test_3_tree_fits_match_exhaustive_enumeration():
         h = rng.uniform(0.5, 2.0, size=n) if case % 2 else np.ones(n)
         tree = fit_tree(x, g, h, depth)
         ref = oracle_tree(x, g, h, depth)
-        assert_same_tree(tree.root, ref)
+        assert_same_tree(tree, ref)
         pred = predict_tree_batch(tree, x)
         ref_pred = np.array([_oracle_predict(ref, row) for row in x])
         worst_obj = max(worst_obj, abs(tree_objective(g, h, pred) - tree_objective(g, h, ref_pred)))

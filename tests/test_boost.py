@@ -1,5 +1,6 @@
 """Boosting loop: candidate racing, traces, truncation, and persistence."""
 
+import base64
 import dataclasses
 import functools
 import json
@@ -561,6 +562,28 @@ def test_rho_mode_resolves_on_training_rows():
     assert ens.kernel_config.rho == expected
 
 
+def test_predict_builds_kernel_matrix_in_bounded_blocks(monkeypatch):
+    from ktboost import boost, kernels
+
+    data = _multiclass_data(n=90, seed=23)
+    ens, _ = fit(data, BoostConfig(iterations=6, learner="kernel", rho=0.7))
+    batch = np.random.default_rng(24).normal(size=(1000, data.n_features))
+    whole = predict(ens, batch)
+    limit = 8 * 90 * 7  # seven rows of the 1000-by-90 matrix
+    monkeypatch.setattr(kernels, "KERNEL_BLOCK_LIMIT_BYTES", limit)
+    blocks = []
+
+    def recording(a, b, rho):
+        out = kernel_matrix(a, b, rho)
+        blocks.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(boost, "kernel_matrix", recording)
+    chunked = predict(ens, batch)
+    assert len(blocks) == -(-1000 // 7) and max(blocks) <= limit
+    assert np.allclose(chunked, whole, rtol=1e-12, atol=0.0)
+
+
 def test_nystrom_training_uses_sampled_anchors():
     data = _regression_data(n=50, seed=14)
     ens, report = fit(
@@ -580,12 +603,19 @@ def test_nystrom_training_uses_sampled_anchors():
 
 
 def test_save_load_round_trip(tmp_path):
-    for data, name in [
-        (_regression_data(seed=15), "r"),
-        (_binary_data(seed=16), "b"),
-        (_multiclass_data(seed=17), "m"),
+    nystrom = BoostConfig(iterations=8, nu=0.2, rho=0.8, nystrom=12, seed=4)
+    for data, config, cut, name in [
+        (_regression_data(seed=15), None, None, "r"),
+        (_binary_data(seed=16), None, None, "b"),
+        (_multiclass_data(seed=17), None, None, "m"),
+        (_multiclass_data(seed=17), nystrom, None, "mn"),
+        (_binary_data(seed=16), nystrom, 5, "bn5"),
+        (_regression_data(seed=15), None, 3, "r3"),
+        (_regression_data(seed=15), dataclasses.replace(nystrom, learner="kernel"), None, "rk"),
     ]:
-        ens, _ = fit(data, BoostConfig(iterations=8, nu=0.2, rho=0.8))
+        ens, report = fit(data, config or BoostConfig(iterations=8, nu=0.2, rho=0.8))
+        if cut is not None:
+            ens = truncate(ens, cut)
         path = tmp_path / f"{name}.json"
         save(ens, path)
         back = load(path)
@@ -595,6 +625,7 @@ def test_save_load_round_trip(tmp_path):
         assert back.task == ens.task
         assert back.label_names == ens.label_names
         assert np.array_equal(back.f0, ens.f0)
+        assert [it.tag for it in back.iterations] == [it.tag for it in ens.iterations]
         # canonical form: a second save is byte-identical
         path2 = tmp_path / f"{name}2.json"
         save(back, path2)
@@ -608,7 +639,7 @@ def test_dumps_is_deterministic_and_canonical():
     assert dumps(ens) == text
     assert text == dumps(loads(text))
     # compact separators, sorted keys
-    assert '"format_version":2' in text
+    assert '"format_version":3' in text
     assert ", " not in text.split('"label_map"')[0][:200]
 
 
@@ -616,6 +647,29 @@ def test_kernel_anchors_are_written_once():
     data = _regression_data(seed=19)
     ens, _ = fit(data, BoostConfig(iterations=10, learner="kernel", rho=0.4))
     assert dumps(ens).count('"anchors"') == 1
+
+
+def _repack(text, path, edit, dtype="<f8"):
+    """Rewrite one base64 array of a model document through ``edit``.
+
+    ``edit`` gets a writable copy of the decoded array and changes it in
+    place or returns raw bytes to store instead.
+    """
+    doc = json.loads(text)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    values = np.frombuffer(base64.b64decode(parent[path[-1]]), dtype=dtype).copy()
+    raw = edit(values)
+    raw = values.tobytes() if raw is None else raw
+    parent[path[-1]] = base64.b64encode(raw).decode("ascii")
+    return json.dumps(doc)
+
+
+def _assign(index, value):
+    def edit(values):
+        values[index] = value
+    return edit
 
 
 def test_load_rejects_malformed_documents():
@@ -627,40 +681,113 @@ def test_load_rejects_malformed_documents():
     with pytest.raises(ModelFormatError):
         loads("[1, 2, 3]")
     with pytest.raises(ModelFormatError):
-        loads(text.replace('"format_version":2', '"format_version":99'))
+        loads(text.replace('"format_version":3', '"format_version":99'))
     with pytest.raises(ModelFormatError):
         loads(text.replace('"task":"regression"', '"task":"binary"'))
-    with pytest.raises(ModelFormatError):
-        loads(text.replace('"f0":[', '"f0":[NaN,', 1))
-    # 1e999 parses to inf, so these reach the model checks
-    for key in ("means", "scales"):
-        bad, count = re.subn(rf'"{key}":\[[^,\]]+', f'"{key}":[1e999', text)
-        assert count == 1
-        with pytest.raises(ModelFormatError):
-            loads(bad)
     kernel_ens, _ = fit(data, BoostConfig(iterations=2, learner="kernel", rho=0.5))
-    bad, count = re.subn(r'"anchors":\[\[[^,\]]+', '"anchors":[[1e999', dumps(kernel_ens))
-    assert count == 1
-    with pytest.raises(ModelFormatError):
-        loads(bad)
-    # tree fields must be JSON integers, and a node holds at least one row
-    tree_ens, _ = fit(data, BoostConfig(iterations=1, learner="tree", max_depth=1))
-    tree_text = dumps(tree_ens)
-    for pattern, repl in ((r'"feature":0', '"feature":0.9'), (r'"feature":0', '"feature":false'),
-                          (r'"n":60', '"n":60.7'), (r'"n":\d+', '"n":0')):
-        bad, count = re.subn(pattern, repl, tree_text, count=1)
-        assert count == 1
-        with pytest.raises(ModelFormatError):
-            loads(bad)
-    # real-valued fields must be JSON numbers: no strings, no booleans
     kernel_text = dumps(kernel_ens)
-    for key, text_ in (("weight", tree_text), ("threshold", tree_text), ("nu", tree_text),
-                       ("rho", kernel_text), ("lambda", kernel_text)):
-        for repl in (rf'"{key}":"\1"', f'"{key}":true'):
+    # non-finite floats in every packed float array
+    for path, source in ((("f0",), text), (("standardizer", "means"), text),
+                         (("standardizer", "scales"), text), (("kernel", "anchors"), kernel_text),
+                         (("kernel", "alpha"), kernel_text)):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ModelFormatError):
+                loads(_repack(source, path, _assign(0, bad)))
+    # base64 that is not base64, and payloads that lost one to seven bytes
+    for stray in ("!", "*", "=", "é"):
+        with pytest.raises(ModelFormatError):
+            loads(kernel_text.replace('"alpha":"', '"alpha":"' + stray, 1))
+    for cut in range(1, 8):
+        with pytest.raises(ModelFormatError):
+            loads(_repack(kernel_text, ("kernel", "alpha"), lambda v: v.tobytes()[:-cut]))
+        with pytest.raises(ModelFormatError):
+            loads(_repack(kernel_text, ("kernel", "anchors"), lambda v: v.tobytes()[:-cut]))
+    # arrays must be base64 strings, scalars JSON numbers: no strings, no booleans
+    for key in ("f0", "rounds"):
+        with pytest.raises(ModelFormatError):
+            loads(re.sub(rf'"{key}":"[^"]*"', f'"{key}":[0.5]', text, count=1))
+    for key, text_ in (("nu", text), ("rho", kernel_text), ("lambda", kernel_text)):
+        for repl in (rf'"{key}":"\1"', f'"{key}":true', f'"{key}":1{"0" * 400}'):
             bad, count = re.subn(rf'"{key}":(-?[0-9][0-9.e+-]*)', repl, text_, count=1)
             assert count == 1
             with pytest.raises(ModelFormatError):
                 loads(bad)
+
+
+def _tree_model_text():
+    """A regression model of two depth-2 tree rounds, nodes 0..6 per tree."""
+    x = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0], [3.0, 0.0], [4.0, 2.0],
+                  [5.0, 1.0], [6.0, 0.0], [7.0, 3.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0, 5.0, 5.0, 9.0, 9.0])
+    ens, _ = fit(Dataset(x, y, "regression"),
+                 BoostConfig(iterations=2, learner="tree", max_depth=2, standardize=False))
+    tree = ens.iterations[0].learners[0]
+    assert tree.feature.tolist() == [0, 0, -1, -1, 0, -1, -1]
+    return dumps(ens)
+
+
+def test_load_rejects_malformed_trees():
+    text = _tree_model_text()
+    assert dumps(loads(text)) == text
+    ints = ("feature", "left", "right", "n", "start")
+    cases = [
+        # (field, index, value, message); tree 0 is nodes 0-6, tree 1 nodes 7-13:
+        # 0 splits into 1 and 4, 1 into the leaves 2 and 3, 4 into 5 and 6
+        ("threshold", 0, np.nan, "non-finite"), ("threshold", 8, np.inf, "non-finite"),
+        ("value", 3, -np.inf, "non-finite"), ("value", 9, np.nan, "non-finite"),
+        ("feature", 0, 2, "feature outside"), ("feature", 2, -2, "feature outside"),
+        ("feature", 2, 0, "leaves must"), ("feature", 1, -1, "leaves must"),
+        ("left", 2, 3, "leaves must"), ("right", 2, 5, "leaves must"),
+        ("n", 3, 0, "training rows"), ("n", 7, -5, "training rows"),
+        ("left", 1, 3, "left child"), ("left", 8, 1, "left child"),
+        ("right", 1, 1, "right child"), ("right", 0, 7, "right child"),
+        ("right", 1, 4, "one parent"),  # shared with the root's right child
+        ("start", 1, 8, "left child"), ("start", 1, 0, "start offsets"),
+        ("start", 0, 1, "start offsets"),
+    ]
+    for name, index, value, message in cases:
+        dtype = "<i4" if name in ints else "<f8"
+        with pytest.raises(ModelFormatError, match=message):
+            loads(_repack(text, ("trees", name), _assign(index, value), dtype))
+    # a tree in which each node has one parent, but 4's left child is 3,
+    # not 5: the links must also follow preorder
+    relinked = _repack(text, ("trees", "left"), _assign(4, 3), "<i4")
+    with pytest.raises(ModelFormatError, match="left child"):
+        loads(_repack(relinked, ("trees", "right"), _assign(1, 5), "<i4"))
+    for name in ("feature", "threshold", "left", "right", "value", "n", "start"):
+        dtype = "<i4" if name in ints else "<f8"
+        for cut in (1, 4, 7):
+            with pytest.raises(ModelFormatError):
+                loads(_repack(text, ("trees", name), lambda v: v.tobytes()[:-cut], dtype))
+    with pytest.raises(ModelFormatError, match="differ in length"):
+        loads(_repack(text, ("trees", "value"), lambda v: v.tobytes()[:-8]))
+    # rounds must name one tree round per d trees and one kernel round per
+    # d alpha rows
+    for rounds, message in (("t", "trees for"), ("ttt", "trees for"), ("ttk", "without a kernel"),
+                            ("tk", "trees for"), ("", "trees for"), ("ttx", "rounds must")):
+        with pytest.raises(ModelFormatError, match=message):
+            loads(text.replace('"rounds":"tt"', f'"rounds":"{rounds}"'))
+    no_trees = _repack(text.replace('"rounds":"tt"', '"rounds":""'), ("trees", "start"), lambda v: b"", "<i4")
+    with pytest.raises(ModelFormatError, match="without a tree"):
+        loads(no_trees)
+
+
+def test_load_rejects_malformed_kernel_blocks():
+    data = _binary_data(seed=22)  # two features
+    kernel_text = dumps(fit(data, BoostConfig(iterations=3, learner="kernel", rho=0.5))[0])
+    for rounds in ("kk", "kkkk", "kkt"):
+        with pytest.raises(ModelFormatError):
+            loads(kernel_text.replace('"rounds":"kkk"', f'"rounds":"{rounds}"'))
+    # whole floats dropped: an anchor row cut short, no anchors, an alpha too few
+    for path, cut, message in ((("kernel", "anchors"), 8, "anchor matrix"),
+                               (("kernel", "anchors"), None, "anchor matrix"),
+                               (("kernel", "alpha"), 8, "one row per kernel round")):
+        with pytest.raises(ModelFormatError, match=message):
+            loads(_repack(kernel_text, path, lambda v: v.tobytes()[:-cut] if cut else b""))
+    doc = json.loads(kernel_text)
+    doc["kernel"] = None
+    with pytest.raises(ModelFormatError, match="without a kernel block"):
+        loads(json.dumps(doc))
 
 
 def test_load_rejects_wrong_loss_for_task():
@@ -674,20 +801,28 @@ def test_load_rejects_wrong_loss_for_task():
 def test_ensemble_manual_construction():
     # hand-built single-stump model: f0 + nu * weight on one side
     from ktboost.boost import IterationLearners
-    from ktboost.trees import Tree, TreeNode
+    from ktboost.trees import Tree
 
-    stump = Tree(TreeNode(0.0, 2, 0, 0.5, TreeNode(1.0, 1), TreeNode(-1.0, 1)), 1, 1)
+    stump = Tree(
+        feature=np.array([0, -1, -1], dtype=np.int32),
+        threshold=np.array([0.5, 0.0, 0.0]),
+        left=np.array([1, -1, -1], dtype=np.int32),
+        right=np.array([2, -1, -1], dtype=np.int32),
+        value=np.array([0.0, 1.0, -1.0]),
+        n=np.array([2, 1, 1], dtype=np.int32),
+    )
     ens = Ensemble(
         "regression", "squared", 0.1, np.array([0.5]),
         identity_standardizer(1), [IterationLearners("tree", [stump])],
     )
     out = predict(ens, np.array([[0.0], [1.0]]))
     assert np.allclose(out[:, 0], [0.6, 0.4])
+    assert dumps(loads(dumps(ens))) == dumps(ens)
 
 
 @functools.lru_cache(maxsize=None)
 def _fuzz_models():
-    """Two small v2 documents: exact-kernel ktboost and Nystrom binary."""
+    """Two small v3 documents: exact-kernel ktboost and Nystrom binary."""
     rng = np.random.default_rng(3)
     x = rng.uniform(size=(10, 2))
     reg, rep = fit(Dataset(x, np.sin(4 * x[:, 0]) + x[:, 1], "regression"),
@@ -696,7 +831,16 @@ def _fuzz_models():
     xb = rng.normal(size=(12, 2))
     binary, _ = fit(Dataset(xb, (xb[:, 0] > 0).astype(int), "binary", label_names=("neg", "pos")),
                     BoostConfig(iterations=3, learner="kernel", rho=1.0, nystrom=4, seed=1))
-    return [dumps(reg), dumps(binary)], np.vstack([x, xb])
+    texts = [dumps(reg), dumps(binary)]
+    for text in texts:
+        assert dumps(loads(text)) == text
+    return texts, np.vstack([x, xb])
+
+
+# dtype of every base64 field, by key
+_PACKED = {"f0": "<f8", "means": "<f8", "scales": "<f8", "anchors": "<f8", "alpha": "<f8",
+           "threshold": "<f8", "value": "<f8", "feature": "<i4", "left": "<i4",
+           "right": "<i4", "n": "<i4", "start": "<i4"}
 
 
 def _fuzz_paths(node, path=()):
@@ -711,13 +855,39 @@ def _fuzz_paths(node, path=()):
         children = ()
         if isinstance(node, (int, float)):
             yield path, "set"
+        elif path and path[-1] in _PACKED:
+            yield path, "stray"
+            if node:
+                yield path, "short"
+                yield path, "element"
+        elif path == ("rounds",):
+            yield path, "rounds"
     if path and not isinstance(path[-1], int):
         yield path, "delete"
     for key, child in children:
         yield from _fuzz_paths(child, path + (key,))
 
 
-@settings(max_examples=500, deadline=None)
+def _mutate_packed(value: str, dtype: str, mutation: str, data) -> str:
+    raw = base64.b64decode(value)
+    if mutation == "stray":
+        at = data.draw(st.integers(0, len(value)))
+        return value[:at] + data.draw(st.sampled_from(["!", "=", " ", "é"])) + value[at:]
+    if mutation == "short":
+        return base64.b64encode(raw[:-data.draw(st.integers(1, min(7, len(raw))))]).decode()
+    values = np.frombuffer(raw, dtype=dtype).copy()
+    i = data.draw(st.integers(0, values.size - 1))
+    if dtype == "<f8":
+        values[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1e308, 1e308]))
+    else:
+        # backward, self, forward, out-of-range and shared indices, feature >= p, n = 0
+        j = data.draw(st.integers(0, values.size - 1))
+        values[i] = data.draw(st.sampled_from(
+            [-2, -1, 0, 1, 2, 3, i - 1, i, i + 1, i + 2, values.size, 2**31 - 1, int(values[j])]))
+    return base64.b64encode(values.tobytes()).decode()
+
+
+@settings(max_examples=600, deadline=None)
 @given(st.data())
 def test_mutated_documents_load_finite_or_raise(data):
     texts, x = _fuzz_models()
@@ -726,13 +896,20 @@ def test_mutated_documents_load_finite_or_raise(data):
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
+    node = parent[path[-1]]
     if mutation == "delete":
         del parent[path[-1]]
     elif mutation == "truncate":
-        node = parent[path[-1]]
         parent[path[-1]] = node[: data.draw(st.integers(0, len(node) - 1))]
-    else:
+    elif mutation == "set":
         parent[path[-1]] = data.draw(st.sampled_from([math.inf, -1, 0, "x", "nan", "1"]))
+    elif mutation == "rounds":
+        at = data.draw(st.integers(0, len(node)))
+        parent[path[-1]] = data.draw(st.sampled_from(
+            [node[:at] + node[at + 1:], node[:at] + "t" + node[at:],
+             node[:at] + "k" + node[at:], node[:at] + "x" + node[at:]]))
+    else:
+        parent[path[-1]] = _mutate_packed(node, _PACKED[path[-1]], mutation, data)
     text = json.dumps(doc).replace("Infinity", "1e999")
     try:
         model = loads(text)

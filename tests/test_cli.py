@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from ktboost import Dataset, load_csv, write_csv
+from ktboost import Dataset, Ensemble, IterationLearners, identity_standardizer, load_csv, save, write_csv
+from ktboost.trees import Tree
 from ktboost.cli import main
 
 
@@ -127,26 +128,40 @@ def test_numerical_errors_exit_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _deep_tree_model(depth):
-    """A v2 regression model whose one tree nests ``depth`` splits leftward."""
-    parts = ['{"f0":[0.0],"format_version":2,"iterations":[{"per_class":[']
-    for _ in range(depth):
-        parts.append('{"feature":0,"left":')
-    parts.append('{"n":1,"weight":1.0}')
-    for _ in range(depth):
-        parts.append(',"n":2,"right":{"n":1,"weight":0.0},"threshold":0.5,"weight":0.0}')
-    parts.append('],"tag":"tree"}],"kernel":null,"label_map":null,"loss":"squared",'
-                 '"nu":0.1,"standardizer":{"means":[0.0],"scales":[1.0]},"task":"regression"}')
-    return "".join(parts)
+def _deep_tree_model(path, depth):
+    """Save a regression model whose one tree nests ``depth`` splits leftward.
+
+    Preorder: splits 0..depth-1 down the left spine, the deepest leaf at
+    ``depth``, then the right leaves from the bottom split up.
+    """
+    size = 2 * depth + 1
+    spine = np.arange(depth)
+    feature = np.full(size, -1, dtype=np.int32)
+    feature[spine] = 0
+    left = np.full(size, -1, dtype=np.int32)
+    left[spine] = spine + 1
+    right = np.full(size, -1, dtype=np.int32)
+    right[spine] = 2 * depth - spine
+    threshold = np.zeros(size)
+    threshold[spine] = 0.5
+    value = np.zeros(size)
+    value[depth] = 1.0
+    tree = Tree(feature, threshold, left, right, value, np.ones(size, dtype=np.int32))
+    save(Ensemble("regression", "squared", 0.1, [0.0], identity_standardizer(1),
+                  [IterationLearners("tree", [tree])]), path)
+    return path
 
 
 def test_model_file_errors_exit_two(tmp_path, capsys):
     data = _write_regression_csv(tmp_path / "d.csv")
     out = tmp_path / "p.csv"
-    shallow = tmp_path / "shallow.json"
-    shallow.write_text(_deep_tree_model(200))
-    assert run_cli(["predict", "--model", str(shallow), "--data", str(data),
+    # a chain 3000 splits deep is an ordinary model now that nothing recurses
+    deep = _deep_tree_model(tmp_path / "deep.json", 3000)
+    assert run_cli(["predict", "--model", str(deep), "--data", str(data),
                     "--has-target", "--out", str(out)]) == 0
+    scores = np.loadtxt(out, skiprows=1)
+    x = load_csv(data).features[:, 0]
+    assert np.array_equal(scores, np.where(x <= 0.5, 0.1, 0.0))
     # version 1 stored anchors, rho and lambda in every kernel iteration
     v1 = {"format_version": 1, "task": "regression", "loss": "squared", "nu": 0.1,
           "f0": [0.0], "standardizer": {"means": [0.0], "scales": [1.0]},
@@ -156,14 +171,45 @@ def test_model_file_errors_exit_two(tmp_path, capsys):
                "mode": "exact"}]}]}
     old = tmp_path / "v1.json"
     old.write_text(json.dumps(v1))
-    deep = tmp_path / "deep.json"
-    deep.write_text(_deep_tree_model(3000))
+    # version 2 wrote floats as JSON numbers and trees as nested objects
+    v2 = {"format_version": 2, "task": "regression", "loss": "squared", "nu": 0.1,
+          "f0": [0.0], "standardizer": {"means": [0.0], "scales": [1.0]},
+          "label_map": None, "kernel": None,
+          "iterations": [{"tag": "tree", "per_class": [{"n": 1, "weight": 1.0}]}]}
+    older = tmp_path / "v2.json"
+    older.write_text(json.dumps(v2))
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000)
     capsys.readouterr()
-    for model, message in ((old, "version 1"), (deep, "nests too deeply")):
+    for model, message in ((old, "version 1"), (older, "version 2"), (nested, "nests too deeply")):
         assert run_cli(["predict", "--model", str(model), "--data", str(data),
                         "--has-target", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
+
+def test_non_utf8_files_exit_two(tmp_path, capsys):
+    data = _write_regression_csv(tmp_path / "d.csv")
+    model = tmp_path / "m.json"
+    assert run_cli(["train", "--data", str(data), "--task", "regression", "--learner", "tree",
+                    "--iterations", "2", "--out", str(model)]) == 0
+    bad_model = tmp_path / "bad.json"
+    bad_model.write_bytes(b"\xff\xfe")
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_bytes(data.read_bytes().replace(b"target", b"targ\xffet"))
+    capsys.readouterr()
+    for argv in (
+        ["predict", "--model", str(bad_model), "--data", str(data), "--out", str(tmp_path / "s.csv")],
+        ["train", "--data", str(bad_csv), "--task", "regression", "--learner", "tree",
+         "--out", str(model)],
+        ["predict", "--model", str(model), "--data", str(bad_csv), "--out", str(tmp_path / "s.csv")],
+        ["predict", "--model", str(model), "--data", str(bad_csv), "--has-target",
+         "--out", str(tmp_path / "s.csv")],
+    ):
+        assert run_cli(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err, err
         assert "Traceback" not in err
 
 

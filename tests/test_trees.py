@@ -49,12 +49,11 @@ def test_stump_hand_case():
     # two points, opposite gradients: split halfway, weights -g/h
     tree = fit_tree(np.array([[1.0], [2.0]]), np.array([-1.0, 1.0]),
                     np.ones(2), max_depth=1)
-    root = tree.root
-    assert not root.is_leaf
-    assert root.feature == 0
-    assert root.threshold == 1.5
-    assert root.left.weight == 1.0
-    assert root.right.weight == -1.0
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert tree.threshold.tolist() == [1.5, 0.0, 0.0]
+    assert (tree.left.tolist(), tree.right.tolist()) == ([1, -1, -1], [2, -1, -1])
+    assert tree.value.tolist() == [0.0, 1.0, -1.0]
+    assert tree.n.tolist() == [2, 1, 1]
     assert tree.n_leaves() == 2
     assert tree.depth() == 1
 
@@ -70,10 +69,10 @@ def test_split_gain_value():
 def test_depth_zero_single_leaf():
     tree = fit_tree(np.arange(6.0).reshape(6, 1), np.arange(6.0),
                     np.ones(6), max_depth=0)
-    assert tree.root.is_leaf
+    assert tree.feature.tolist() == [-1]
     assert tree.depth() == 0
     # leaf weight is -sum(g)/sum(h)
-    assert np.isclose(tree.root.weight, -2.5)
+    assert np.isclose(tree.value[0], -2.5)
 
 
 def test_constant_gradient_never_splits():
@@ -81,23 +80,23 @@ def test_constant_gradient_never_splits():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(30, 2))
     tree = fit_tree(x, np.full(30, 0.5), np.ones(30), max_depth=3)
-    assert tree.root.is_leaf
-    assert tree.root.weight == -0.5
+    assert tree.n_leaves() == 1
+    assert tree.value[0] == -0.5
 
 
 def test_left_rule_is_inclusive():
     tree = fit_tree(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]),
                     np.ones(2), max_depth=1)
-    thr = tree.root.threshold
-    assert predict_tree(tree, [thr]) == tree.root.left.weight
-    assert predict_tree(tree, [np.nextafter(thr, 1.0)]) == tree.root.right.weight
+    thr = tree.threshold[0]
+    assert predict_tree(tree, [thr]) == tree.value[tree.left[0]]
+    assert predict_tree(tree, [np.nextafter(thr, 1.0)]) == tree.value[tree.right[0]]
 
 
 def test_adjacent_floats_still_separate():
     lo = np.nextafter(-1.0, -2.0)
     x = np.array([[lo], [-1.0]])
     tree = fit_tree(x, np.array([-1.0, 1.0]), np.ones(2), max_depth=1)
-    thr = tree.root.threshold
+    thr = tree.threshold[0]
     # threshold must sit strictly below the right value
     assert thr < -1.0 and thr >= lo
     assert predict_tree(tree, [lo]) == 1.0
@@ -109,20 +108,15 @@ def test_tie_prefers_lowest_feature():
     col = rng.normal(size=25)
     x = np.column_stack([col, col])  # identical columns, identical gains
     tree = fit_tree(x, rng.normal(size=25), np.ones(25), max_depth=2)
-    def walk(node):
-        if node.is_leaf:
-            return
-        assert node.feature == 0
-        walk(node.left)
-        walk(node.right)
-    walk(tree.root)
+    assert tree.depth() > 0
+    assert set(tree.feature.tolist()) == {-1, 0}
 
 
 def test_tie_prefers_smallest_threshold():
     # symmetric gains: positions 1 and 3 tie, smallest threshold wins
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     tree = fit_tree(x, np.array([1.0, -1.0, -1.0, 1.0]), np.ones(4), max_depth=1)
-    assert tree.root.threshold == 0.5
+    assert tree.threshold[0] == 0.5
 
 
 def test_min_samples_leaf_respected():
@@ -130,14 +124,8 @@ def test_min_samples_leaf_respected():
     x = rng.normal(size=(40, 2))
     tree = fit_tree(x, rng.normal(size=40), np.ones(40), max_depth=4,
                     min_samples_leaf=7)
-
-    def leaves(node):
-        if node.is_leaf:
-            return [node.n_samples]
-        return leaves(node.left) + leaves(node.right)
-
-    if tree.depth() > 0:
-        assert min(leaves(tree.root)) >= 7
+    assert tree.depth() > 0
+    assert tree.n[tree.feature < 0].min() >= 7
 
 
 def test_validation_errors():
@@ -167,7 +155,7 @@ def test_matches_exhaustive_enumeration():
         x, g, h, depth = _random_instance(rng)
         tree = fit_tree(x, g, h, max_depth=depth)
         ref = oracle_tree(x, g, h, depth)
-        assert_same_tree(tree.root, ref)
+        assert_same_tree(tree, ref)
         # identical objective value, not just identical shape
         pred = predict_tree_batch(tree, x)
         ref_pred = np.array([oracle_tree_predict(ref, row) for row in x])
@@ -183,7 +171,7 @@ def test_matches_enumeration_with_min_leaf():
         x, g, h, depth = _random_instance(rng)
         min_leaf = int(rng.integers(2, 5))
         tree = fit_tree(x, g, h, max_depth=depth, min_samples_leaf=min_leaf)
-        assert_same_tree(tree.root, oracle_tree(x, g, h, depth, min_leaf))
+        assert_same_tree(tree, oracle_tree(x, g, h, depth, min_leaf))
 
 
 def test_monotone_transform_invariance():
@@ -200,18 +188,6 @@ def test_monotone_transform_invariance():
 
 
 # ------------------------------------------- presorted vs per-node argsort
-
-
-def assert_identical_tree(a, b):
-    """Node for node, bit for bit."""
-    assert a.n_samples == b.n_samples
-    assert a.weight == b.weight
-    assert a.is_leaf == b.is_leaf
-    if not a.is_leaf:
-        assert a.feature == b.feature
-        assert a.threshold == b.threshold
-        assert_identical_tree(a.left, b.left)
-        assert_identical_tree(a.right, b.right)
 
 
 def test_backend_name_consistent():
@@ -247,9 +223,9 @@ def test_matches_argsort_grower():
             h[0] = 1.0
         depth = int(rng.integers(0, 6))
         min_leaf = 1 + trial % 3
-        assert_identical_tree(
-            fit_tree(x, g, h, depth, min_leaf).root,
-            argsort_tree(x, g, h, depth, min_leaf).root,
+        assert_same_tree(
+            fit_tree(x, g, h, depth, min_leaf),
+            argsort_tree(x, g, h, depth, min_leaf),
         )
 
 
@@ -266,9 +242,9 @@ def test_multiclass_round_shares_one_presort():
     gh = gradient_hessian(loss, y, scores, newton=True)
     order = presort_features(xs)
     for k, tree in enumerate(ens.iterations[0].learners):
-        ref = argsort_tree(xs, gh.g[:, k], gh.h[:, k], 3, 2).root
-        assert_identical_tree(tree.root, ref)
-        assert_identical_tree(fit_tree(xs, gh.g[:, k], gh.h[:, k], 3, 2, order).root, ref)
+        ref = argsort_tree(xs, gh.g[:, k], gh.h[:, k], 3, 2)
+        assert_same_tree(tree, ref)
+        assert_same_tree(fit_tree(xs, gh.g[:, k], gh.h[:, k], 3, 2, order), ref)
 
 
 @settings(max_examples=150, deadline=None)
@@ -283,9 +259,9 @@ def test_matches_argsort_grower_generated(data):
     h[data.draw(st.integers(0, n - 1))] = 1.0
     depth = data.draw(st.integers(0, 4))
     min_leaf = data.draw(st.integers(1, 3))
-    assert_identical_tree(
-        fit_tree(x, g, h, depth, min_leaf).root,
-        argsort_tree(x, g, h, depth, min_leaf).root,
+    assert_same_tree(
+        fit_tree(x, g, h, depth, min_leaf),
+        argsort_tree(x, g, h, depth, min_leaf),
     )
 
 
@@ -294,7 +270,7 @@ def test_order_validation():
     x = rng.normal(size=(6, 2))
     g, h = rng.normal(size=6), np.ones(6)
     order = presort_features(x)
-    assert_identical_tree(fit_tree(x, g, h, 2, order=order).root, fit_tree(x, g, h, 2).root)
+    assert_same_tree(fit_tree(x, g, h, 2, order=order), fit_tree(x, g, h, 2))
     for bad in (order.T, order[:, :5], order[0], order.astype(np.float64), order > 2):
         with pytest.raises(DataError):
             fit_tree(x, g, h, 2, order=bad)
@@ -330,9 +306,9 @@ def test_split_midpoint_near_float_max_stays_finite():
     y = np.array([0.0, 0.0, 5.0, 5.0])
     config = BoostConfig(iterations=1, learner="tree", max_depth=1, standardize=False)
     model, _ = fit(Dataset(x, y, "regression"), config)
-    root = model.iterations[0].learners[0].root
-    assert np.isfinite(root.threshold)
-    assert root.left.n_samples >= 1 and root.right.n_samples >= 1
+    tree = model.iterations[0].learners[0]
+    assert np.isfinite(tree.threshold[0])
+    assert tree.n[tree.left[0]] >= 1 and tree.n[tree.right[0]] >= 1
     xs = np.sort(x[:, 0])
-    assert xs[0] <= root.threshold < xs[-1]
+    assert xs[0] <= tree.threshold[0] < xs[-1]
     assert np.array_equal(predict(loads(dumps(model)), x), predict(model, x))
