@@ -9,7 +9,10 @@ count read off the per-iteration validation trace of a single fit.
 
 Method comparisons across datasets use average ranks with the
 Iman-Davenport F refinement of the Friedman test, plus exact two-sided
-sign tests under a Holm multiplicity correction.
+sign tests under a Holm multiplicity correction. scipy.stats is imported
+inside the three functions that call it, on first use of the rank
+statistics: importing it pulls in most of scipy, which ``import ktboost``
+and the train, predict and evaluate commands do not need.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy import stats
 
 from .boost import BoostConfig, Ensemble, FitReport, fit, predict, truncate
 from .data import Dataset, SplitSpec, split
@@ -135,6 +137,8 @@ def metric(task: str, targets, scores) -> float:
 
 def rank_methods(metrics: np.ndarray) -> np.ndarray:
     """Mid-ranks per dataset row; lower metric means better rank."""
+    from scipy import stats
+
     m = np.atleast_2d(np.asarray(metrics, dtype=np.float64))
     return np.vstack([stats.rankdata(row) for row in m])
 
@@ -175,6 +179,8 @@ def friedman_iman_davenport(ranks, n_datasets: int | None = None) -> tuple[float
     with (k-1, (k-1)(N-1)) degrees of freedom. Perfect agreement across
     datasets makes the denominator vanish.
     """
+    from scipy import stats
+
     rbar, n, k = _rank_summary(ranks, n_datasets)
     if n < 2:
         raise DataError("the corrected test needs at least two datasets")
@@ -189,6 +195,8 @@ def friedman_iman_davenport(ranks, n_datasets: int | None = None) -> tuple[float
 
 def sign_test_p(wins: int, losses: int) -> float:
     """Two-sided exact binomial p-value under equal win probability."""
+    from scipy import stats
+
     n = wins + losses
     if n == 0:
         raise DataError("zero effective comparisons after dropping ties")

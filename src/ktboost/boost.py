@@ -416,8 +416,12 @@ def predict_proba(ensemble: Ensemble, features: np.ndarray, truncate_at: int | N
     """Class probabilities, one column per class (two for binary)."""
     if ensemble.task == "regression":
         raise DataError("probabilities are undefined for regression")
-    scores = predict(ensemble, features, truncate_at)
-    if ensemble.task == "binary":
+    return proba_from_scores(ensemble.task, predict(ensemble, features, truncate_at))
+
+
+def proba_from_scores(task: str, scores: np.ndarray) -> np.ndarray:
+    """Class probabilities of a classification score matrix from predict."""
+    if task == "binary":
         p = expit(scores[:, 0])
         return np.column_stack([1.0 - p, p])
     return softmax(scores, axis=1)

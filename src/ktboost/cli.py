@@ -40,7 +40,7 @@ from .boost import (
     fit,
     load,
     predict,
-    predict_proba,
+    proba_from_scores,
     save,
     truncate,
 )
@@ -226,7 +226,7 @@ def cmd_predict(args) -> int:
             for v in scores[:, 0]:
                 writer.writerow([repr(float(v))])
         else:
-            proba = predict_proba(ensemble, features)
+            proba = proba_from_scores(ensemble.task, scores)
             names = ensemble.label_names or tuple(str(k) for k in range(proba.shape[1]))
             writer.writerow([f"prob_{n}" for n in names] + ["label"])
             labels = np.argmax(proba, axis=1)

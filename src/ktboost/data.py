@@ -132,8 +132,16 @@ class Standardizer:
                 f"expected {self.n_features} features, got {features.shape[-1]}"
             )
         # In place after the subtraction: one output array, no temporary.
-        out = features - self.means
-        out /= self.scales
+        # A non-finite input stays non-finite, so one check of the output
+        # covers both the input and an overflow of extreme means or scales.
+        with np.errstate(over="ignore"):
+            out = features - self.means
+            out /= self.scales
+        if not np.isfinite(out).all():
+            col = int(np.argmin(np.isfinite(np.atleast_2d(out)).all(axis=0)))
+            if np.isfinite(np.atleast_2d(features)[:, col]).all():
+                raise DataError(f"feature column {col} overflows when standardized")
+            raise DataError(f"feature column {col} holds a non-finite value")
         return out
 
     def inverse_transform(self, standardized: np.ndarray) -> np.ndarray:

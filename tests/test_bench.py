@@ -1,6 +1,11 @@
 """Simulation generator, metrics, rank statistics, and the tuning sweeps."""
 
 import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +193,45 @@ def test_sign_test_values():
     assert sign_test_p(10, 9) == sign_test_p(9, 10) <= 1.0
     with pytest.raises(DataError):
         sign_test_p(0, 0)
+
+
+# Imported by scipy.stats and by nothing the engine uses.
+_HARNESS_ONLY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.interpolate",
+                 "scipy.ndimage")
+
+_IMPORT_PROBE = """
+import json, sys
+import ktboost, ktboost.cli
+harness = %r
+before = sorted(m for m in harness if m in sys.modules)
+from ktboost import friedman_iman_davenport, rank_methods, sign_test_p
+print(json.dumps({
+    "before": before,
+    "ranks": rank_methods([[0.3, 0.1, 0.2], [0.1, 0.1, 0.3]]).tolist(),
+    "tied": friedman_iman_davenport([[2.0, 2.0, 2.0]] * 5),
+    "published": friedman_iman_davenport([1.24, 2.48, 2.29], n_datasets=21),
+    "sign": [sign_test_p(5, 0), sign_test_p(0, 5), sign_test_p(4, 0), sign_test_p(3, 3)],
+    "after": "scipy.stats" in sys.modules,
+}))
+""" % (_HARNESS_ONLY,)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # a fresh process: this one imported scipy.stats at the top of the file
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["before"] == []
+    # the rank statistics still work, and load scipy.stats on first use
+    assert out["after"] is True
+    assert out["ranks"] == [[3.0, 1.0, 2.0], [1.5, 1.5, 3.0]]
+    assert out["tied"] == [0.0, 1.0]
+    f_stat, p = out["published"]
+    assert f_stat > 10.0 and 7.84e-6 / 2 < p < 7.84e-6 * 2
+    assert (f_stat, p) == friedman_iman_davenport(np.array([1.24, 2.48, 2.29]), n_datasets=21)
+    assert np.allclose(out["sign"][:3], [0.0625, 0.0625, 0.125]) and out["sign"][3] == 1.0
 
 
 def test_holm_bonferroni_hand_case():

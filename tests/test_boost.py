@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -526,6 +527,32 @@ def test_binary_probabilities_complement():
                       np.zeros((2, 1)))
 
 
+def test_predict_rejects_non_finite_features():
+    ens, _ = fit(_binary_data(), BoostConfig(iterations=5, nu=0.3, rho=1.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        rows = np.array([[0.1, 0.5], [0.2, bad]])
+        for scorer in (predict, predict_proba, predict_labels):
+            with pytest.raises(DataError, match="feature column 1 holds a non-finite value"):
+                scorer(ens, rows)
+
+
+def test_predict_rejects_standardization_overflow():
+    # a loaded model may hold finite but extreme means; (0.5 - 1e308) / 1e-3
+    # overflows to -inf, which must not reach the learners or warn
+    data = _regression_data(seed=21)
+    ens, _ = fit(data, BoostConfig(iterations=3, rho=0.5))
+    text = dumps(ens)
+    text = _repack(text, ("standardizer", "means"), _assign(0, 1e308))
+    text = _repack(text, ("standardizer", "scales"), _assign(0, 1e-3))
+    model = loads(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="feature column 0 overflows when standardized"):
+            predict(model, data.features)
+    # the same model scores a row that stays finite
+    assert np.all(np.isfinite(predict(model, [[1e308]])))
+
+
 # ----------------------------------------------------------- numerics
 
 
@@ -915,4 +942,12 @@ def test_mutated_documents_load_finite_or_raise(data):
         model = loads(text)
     except ModelFormatError:
         return
-    assert np.all(np.isfinite(predict(model, x)))
+    try:
+        scores = predict(model, x)
+    except DataError:
+        # only a finite but extreme standardizer may refuse finite rows
+        with np.errstate(over="ignore"):
+            z = (x - model.standardizer.means) / model.standardizer.scales
+        assert not np.all(np.isfinite(z))
+        return
+    assert np.all(np.isfinite(scores))

@@ -1,12 +1,25 @@
 """End-to-end command-line flows, exit codes, and artifact determinism."""
 
+import base64
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from ktboost import Dataset, Ensemble, IterationLearners, identity_standardizer, load_csv, save, write_csv
+from ktboost import (
+    Dataset,
+    Ensemble,
+    IterationLearners,
+    identity_standardizer,
+    load,
+    load_csv,
+    predict_proba,
+    save,
+    write_csv,
+)
+from ktboost import boost, cli
 from ktboost.trees import Tree
 from ktboost.cli import main
 
@@ -95,6 +108,30 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert run_cli(["evaluate", "--model", str(half), "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_non_finite_standardized_features_exit_two(tmp_path, capsys):
+    data = _write_regression_csv(tmp_path / "d.csv")
+    model = tmp_path / "m.json"
+    assert run_cli(["train", "--data", str(data), "--task", "regression",
+                    "--rho", "0.5", "--iterations", "3", "--out", str(model)]) == 0
+    # a v3 file that loads: finite, but (x - 1e308) / 1e-3 overflows
+    doc = json.loads(model.read_text())
+    doc["standardizer"]["means"] = base64.b64encode(np.array([1e308], "<f8").tobytes()).decode()
+    doc["standardizer"]["scales"] = base64.b64encode(np.array([1e-3], "<f8").tobytes()).decode()
+    extreme = tmp_path / "extreme.json"
+    extreme.write_text(json.dumps(doc))
+    load(extreme)
+    capsys.readouterr()
+    out = tmp_path / "p.csv"
+    for argv in (
+        ["predict", "--model", str(extreme), "--data", str(data), "--has-target", "--out", str(out)],
+        ["evaluate", "--model", str(extreme), "--data", str(data)],
+    ):
+        assert run_cli(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "feature column 0 overflows" in err, err
+        assert "Traceback" not in err
 
 
 def test_exact_gram_over_limit_exits_two(tmp_path, capsys, monkeypatch):
@@ -283,6 +320,53 @@ def test_train_predict_classification(tmp_path, capsys):
     assert run_cli(["evaluate", "--model", str(model), "--data", str(train_csv)]) == 0
     evaluation = json.loads(capsys.readouterr().out)
     assert 0.0 <= evaluation["metric"] <= 0.5
+
+
+@pytest.mark.parametrize("task", ["regression", "binary", "multiclass"])
+def test_predict_command_scores_once(tmp_path, capsys, monkeypatch, task):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(60, 2))
+    if task == "regression":
+        data = Dataset(x, x[:, 0] + np.sin(x[:, 1]), task)
+    elif task == "binary":
+        data = Dataset(x, (x[:, 0] > 0).astype(int), task, label_names=("neg", "pos"))
+    else:
+        y = np.argmax(x @ rng.normal(size=(2, 3)), axis=1)
+        data = Dataset(x, y, task, label_names=("a", "b", "c"))
+    path, model, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "p.csv"
+    write_csv(data, path)
+    assert run_cli(["train", "--data", str(path), "--task", task, "--rho", "1.0",
+                    "--iterations", "8", "--out", str(model)]) == 0
+    capsys.readouterr()
+    ensemble = load(model)
+    features = load_csv(path, task=task).features
+    # expected rows, from the public predict and predict_proba
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    if task == "regression":
+        writer.writerow(["score"])
+        writer.writerows([repr(float(v))] for v in boost.predict(ensemble, features)[:, 0])
+    else:
+        proba = predict_proba(ensemble, features)
+        names = ensemble.label_names
+        writer.writerow([f"prob_{n}" for n in names] + ["label"])
+        for row, label in zip(proba, np.argmax(proba, axis=1)):
+            writer.writerow([repr(float(v)) for v in row] + [names[label]])
+
+    calls = []
+    real = boost.predict
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(boost, "predict", counting)
+    monkeypatch.setattr(cli, "predict", counting)
+    assert run_cli(["predict", "--model", str(model), "--data", str(path),
+                    "--has-target", "--out", str(out)]) == 0
+    assert calls == [(60, 2)]
+    with open(out, newline="", encoding="utf-8") as fh:
+        assert fh.read() == expected.getvalue()
 
 
 def test_evaluate_aligns_label_subset(tmp_path, capsys):

@@ -120,6 +120,19 @@ def test_standardizer_width_check():
             Standardizer(np.zeros(2), np.array([1.0, bad]))
 
 
+def test_standardizer_rejects_non_finite_values():
+    st = Standardizer(np.array([0.0, 1e308, 0.0]), np.array([1.0, 1e-3, 1.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="feature column 2 holds a non-finite value"):
+            st.transform(np.array([[0.0, 1e308, 0.0], [0.0, 1e308, bad]]))
+        with pytest.raises(DataError, match="feature column 2 holds a non-finite value"):
+            st.transform(np.array([0.0, 1e308, bad]))  # a single row
+    # finite inputs whose standardized value overflows
+    with pytest.raises(DataError, match="feature column 1 overflows when standardized"):
+        st.transform(np.zeros((2, 3)))
+    assert np.array_equal(st.transform(np.array([[1.0, 1e308, -1.0]])), [[1.0, 0.0, -1.0]])
+
+
 def test_single_row_standardizer():
     st = fit_standardizer(Dataset([[5.0, -1.0]], [0.0], "regression"))
     z = st.transform([[5.0, -1.0]])
