@@ -58,10 +58,8 @@ from .data import (
 )
 from .errors import DataError, ModelFormatError, NumericalError
 from .kernels import (
-    GradientCache,
     KernelConfig,
-    KernelLearner,
-    NystromFactor,
+    KernelSolver,
     build_gradient_cache,
     build_nystrom,
     fit_kernel_gradient,
@@ -70,8 +68,6 @@ from .kernels import (
     kernel_matrix,
     nystrom_gram,
     nystrom_indices,
-    predict_kernel,
-    predict_kernel_batch,
     select_rho,
 )
 from .losses import (

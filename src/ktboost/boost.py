@@ -37,6 +37,7 @@ from .errors import DataError, ModelFormatError, NumericalError
 from .kernels import (
     RHO_MODES,
     KernelConfig,
+    KernelSolver,
     build_gradient_cache,
     build_nystrom,
     check_exact_gram_fits,
@@ -191,20 +192,32 @@ def empirical_risk(loss: LossFunction, targets, scores) -> float:
     return float(np.sum(loss_values(loss, targets, scores)))
 
 
-def _resolve_kernel_config(x: np.ndarray, config: BoostConfig) -> KernelConfig:
-    """Fix the bandwidth, on the sampled rows when Nystrom is active."""
+def _resolve_kernel_config(x: np.ndarray, config: BoostConfig) -> tuple[KernelConfig, np.ndarray | None]:
+    """Fix the bandwidth, on the sampled rows when Nystrom is active.
+
+    Also returns the indices of those rows, or None in exact mode, whose
+    Gram limit is checked here, before select_rho's n-by-n distances.
+    """
     n = x.shape[0]
-    if config.nystrom is not None and config.nystrom > n:
+    if config.nystrom is None:
+        check_exact_gram_fits(n)
+        indices = None
+    elif config.nystrom > n:
         raise DataError(f"nystrom sample count {config.nystrom} exceeds {n} rows")
-    if config.rho is not None:
-        rho = config.rho
     else:
-        if config.nystrom is not None:
-            rows = x[nystrom_indices(n, config.nystrom, config.seed)]
-        else:
-            rows = x
-        rho = select_rho(rows, config.rho_knn, config.rho_mode)
-    return KernelConfig(rho, config.lam, config.nystrom, config.seed)
+        indices = nystrom_indices(n, config.nystrom, config.seed)
+    rho = config.rho
+    if rho is None:
+        rho = select_rho(x if indices is None else x[indices], config.rho_knn, config.rho_mode)
+    return KernelConfig(rho, config.lam, config.nystrom, config.seed), indices
+
+
+def _kernel_solver(x: np.ndarray, kconfig: KernelConfig, indices) -> KernelSolver:
+    """The fit's solver over the Nystrom samples at ``indices``, or over all rows."""
+    if indices is None:
+        gram = kernel_matrix(x, x, kconfig.rho)
+        return KernelSolver(x, gram, gram, kconfig.lam)
+    return build_nystrom(x, indices, kconfig)
 
 
 def fit(
@@ -238,27 +251,17 @@ def fit(
     # x never changes, so one sort serves every tree of the fit.
     order = presort_features(x) if use_tree else None
 
-    kconfig = anchors = gram = nystrom = cache = None
-    train_apply = val_apply = None  # matrices mapping alpha to fitted values
+    kconfig = solver = val_apply = None  # val_apply maps alpha to validation fitted values
     if use_kernel:
-        if config.nystrom is None:
-            # before select_rho's n-by-n distances and the Gram matrix
-            check_exact_gram_fits(n)
-        kconfig = _resolve_kernel_config(x, config)
-        if kconfig.nystrom_samples is not None:
-            nystrom = build_nystrom(x, kconfig)
-            train_apply = nystrom.cross
-            anchors = nystrom.samples
-        else:
-            gram = kernel_matrix(x, x, kconfig.rho)
-            train_apply = gram
-            anchors = x
+        kconfig, indices = _resolve_kernel_config(x, config)
+        solver = _kernel_solver(x, kconfig, indices)
         if xv is not None:
-            val_apply = kernel_matrix(xv, anchors, kconfig.rho)
+            val_apply = kernel_matrix(xv, solver.anchors, kconfig.rho)
         # A constant Hessian (gradient mode, or the squared loss, whose
         # Newton h is exactly one) gives the same system every round.
         if not config.newton or loss.kind == "squared":
-            cache = build_gradient_cache(x, kconfig, gram=gram, nystrom=nystrom)
+            solver = build_gradient_cache(solver)
+        solve = fit_kernel_newton if solver.factor is None else fit_kernel_gradient
 
     step = config.nu if config.selection == "damped" else 1.0
     iterations: list[IterationLearners] = []
@@ -289,16 +292,8 @@ def fit(
         kernel_learners = kernel_pred = None
         kernel_risk = np.nan
         if use_kernel:
-            if cache is not None:
-                kernel_learners = [
-                    fit_kernel_gradient(x, gh.g[:, k], kconfig, cache=cache) for k in range(d)
-                ]
-            else:
-                kernel_learners = [
-                    fit_kernel_newton(x, gh.g[:, k], gh.h[:, k], kconfig, gram=gram, nystrom=nystrom)
-                    for k in range(d)
-                ]
-            kernel_pred = np.column_stack([train_apply @ kl.alpha for kl in kernel_learners])
+            kernel_learners = [solve(solver, gh.g[:, k], gh.h[:, k]) for k in range(d)]
+            kernel_pred = np.column_stack([solver.basis @ alpha for alpha in kernel_learners])
             kernel_risk = empirical_risk(loss, y, scores + step * kernel_pred)
 
         # NaN risks lose to anything; ties admit the tree.
@@ -309,7 +304,6 @@ def fit(
             tag, learners, pred, selection_risk = "tree", tree_learners, tree_pred, tree_risk
         else:
             tag, learners, pred, selection_risk = "kernel", kernel_learners, kernel_pred, kernel_risk
-            learners = [kl.alpha for kl in learners]
 
         scores += config.nu * pred
         if config.selection == "damped":
@@ -345,7 +339,9 @@ def fit(
 
     completed = len(iterations)
     best_iteration = best_iter if validation is not None else completed
-    if "kernel" not in chosen:
+    if "kernel" in chosen:
+        anchors = solver.anchors
+    else:
         anchors = kconfig = None
     ensemble = Ensemble(
         train.task,

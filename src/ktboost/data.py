@@ -45,8 +45,9 @@ class Dataset:
         n, p = features.shape
         if n < 1 or p < 1:
             raise DataError("dataset needs at least one row and one feature")
-        if not np.all(np.isfinite(features)):
-            raise DataError("features contain non-finite values")
+        finite = np.isfinite(features).all(axis=0)
+        if not finite.all():
+            raise DataError(f"feature column {int(np.argmin(finite))} holds a non-finite value")
         if self.task not in TASKS:
             raise DataError(f"unknown task {self.task!r}")
 

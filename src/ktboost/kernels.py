@@ -23,11 +23,16 @@ expansion f(x) = sum_j alpha_j K(sample_j, x) reduces the solve to the
 l-by-l system
 
     (lam W + C^T D^2 C) alpha = C^T (-g).
+
+A fit builds one KernelSolver, and that solver owns the cached
+unit-Hessian factor: build_gradient_cache adds it once per fit and
+fit_kernel_gradient solves with it, while fit_kernel_newton factorizes
+the Hessian-weighted system on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve
@@ -75,41 +80,29 @@ class KernelConfig:
             raise DataError("seed must be nonnegative")
 
 
-@dataclass
-class KernelLearner:
-    """A fitted kernel expansion: f(x) = sum_j alpha[j] K(anchors[j], x)."""
+@dataclass(frozen=True)
+class KernelSolver:
+    """The kernel basis of one fit and the ridge system built from it.
 
-    anchors: np.ndarray
-    alpha: np.ndarray
-    config: KernelConfig
-    mode: str = "exact"
-
-    def __post_init__(self):
-        self.anchors = np.asarray(self.anchors, dtype=np.float64)
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        if self.anchors.ndim != 2 or self.alpha.shape != (self.anchors.shape[0],):
-            raise DataError("anchors and alpha shapes disagree")
-        if not np.all(np.isfinite(self.alpha)):
-            raise DataError("non-finite kernel coefficients")
-        if self.mode not in ("exact", "nystrom"):
-            raise DataError(f"unknown kernel mode {self.mode!r}")
-
-
-@dataclass
-class NystromFactor:
-    """Sampled rows plus factorizations backing the low-rank kernel.
-
-    ``gram`` is the raw l-by-l sample Gram matrix W; ``inverse_factor`` is a
-    Cholesky factor of W plus jitter, usable with cho_solve to apply W^{-1};
-    ``cross`` is the n-by-l matrix of kernel values between all rows and the
-    samples.
+    ``anchors`` are the expansion's centres: the training rows (exact mode)
+    or the l sampled rows (Nystrom mode). ``basis`` maps alpha to the
+    training fitted values: K (n-by-n) or the cross matrix C (n-by-l).
+    ``gram`` is the matrix the system is built from: K itself in exact
+    mode, the sample Gram matrix W in Nystrom mode. ``factor`` is the
+    cached Cholesky factor of the unit-Hessian system, or None when every
+    solve factorizes its own Hessian-weighted system.
     """
 
-    samples: np.ndarray
-    indices: np.ndarray
+    anchors: np.ndarray
+    basis: np.ndarray
     gram: np.ndarray
-    inverse_factor: tuple
-    cross: np.ndarray | None = None
+    lam: float
+    factor: tuple | None = None
+
+    @property
+    def exact(self) -> bool:
+        """Exact mode: the basis is the system's own Gram matrix K."""
+        return self.basis is self.gram
 
 
 def cho_factor(matrix: np.ndarray) -> tuple:
@@ -197,154 +190,90 @@ def nystrom_indices(n: int, l: int, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=l, replace=False))
 
 
-def build_nystrom(features: np.ndarray, config: KernelConfig, with_cross: bool = True) -> NystromFactor:
-    """Sample anchor rows and factorize their Gram matrix."""
+def build_nystrom(features: np.ndarray, indices: np.ndarray, config: KernelConfig) -> KernelSolver:
+    """Solver over the sampled rows x[indices]: their Gram matrix W and the cross matrix C."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if config.nystrom_samples is None:
-        raise DataError("config carries no nystrom sample count")
-    idx = nystrom_indices(x.shape[0], config.nystrom_samples, config.seed)
-    samples = np.array(x[idx])
+    samples = x[indices]
     gram = kernel_matrix(samples, samples, config.rho)
-    factor = factorize_spd(gram)
-    cross = kernel_matrix(x, samples, config.rho) if with_cross else None
-    return NystromFactor(samples, idx, gram, factor, cross)
+    return KernelSolver(samples, kernel_matrix(x, samples, config.rho), gram, config.lam)
 
 
-def nystrom_gram(factor: NystromFactor) -> np.ndarray:
+def nystrom_gram(solver: KernelSolver) -> np.ndarray:
     """The approximate Gram matrix C W^{-1} C^T (rank at most l)."""
-    if factor.cross is None:
-        raise DataError("factor was built without the cross matrix")
-    c = factor.cross
-    return c @ cho_solve(factor.inverse_factor, c.T, check_finite=False)
+    c = solver.basis
+    return c @ cho_solve(factorize_spd(solver.gram), c.T, check_finite=False)
 
 
-def _exact_system(k: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
-    """D K D + lam*I with D = diag(s)."""
-    system = k * np.outer(s, s)
-    system.flat[:: system.shape[0] + 1] += lam
-    return system
+def _system(solver: KernelSolver, h: np.ndarray) -> np.ndarray:
+    """D K D + lam*I with D = diag(sqrt(h)) (exact), or lam*W + C^T diag(h) C."""
+    if solver.exact:
+        s = np.sqrt(h)
+        system = solver.gram * np.outer(s, s)
+        system.flat[:: system.shape[0] + 1] += solver.lam
+        return system
+    c = solver.basis
+    return solver.lam * solver.gram + c.T @ (c * h[:, None])
 
 
-def _nystrom_system(nf: NystromFactor, h: np.ndarray, lam: float) -> np.ndarray:
-    """lam*W + C^T diag(h) C."""
-    c = nf.cross
-    return lam * nf.gram + c.T @ (c * h[:, None])
+def _alpha(solver: KernelSolver, factor: tuple, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Coefficients from a factor of the system for Hessian h."""
+    if solver.exact:
+        s = np.sqrt(h)
+        alpha = s * cho_solve(factor, -g / s, check_finite=False)
+    else:
+        alpha = cho_solve(factor, solver.basis.T @ (-g), check_finite=False)
+    if not np.all(np.isfinite(alpha)):
+        raise DataError("non-finite kernel coefficients")
+    return alpha
 
 
-@dataclass
-class GradientCache:
-    """Iteration-independent factorization for constant-Hessian solves.
-
-    Exact mode caches a factor of K + lam*I; Nystrom mode caches a factor
-    of lam*W + C^T C together with the cross matrix C.
-    """
-
-    anchors: np.ndarray
-    factor: tuple
-    cross: np.ndarray | None
-    mode: str
-
-
-def build_gradient_cache(
-    features: np.ndarray,
-    config: KernelConfig,
-    gram: np.ndarray | None = None,
-    nystrom: NystromFactor | None = None,
-) -> GradientCache:
-    """Factorize the h = 1 system once, with the Newton solve's formulas.
-
-    Sharing the formulas keeps the cached path bit-identical to
-    fit_kernel_newton with a unit Hessian (C^T C as syrk, say, would round
-    differently from the Hessian-weighted product).
-    """
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    ones = np.ones(x.shape[0])
-    if config.nystrom_samples is not None or nystrom is not None:
-        nf = nystrom if nystrom is not None else build_nystrom(x, config)
-        system = _nystrom_system(nf, ones, config.lam)
-        return GradientCache(nf.samples, factorize_spd(system), nf.cross, "nystrom")
-    if gram is None:
-        check_exact_gram_fits(x.shape[0])
-        gram = kernel_matrix(x, x, config.rho)
-    return GradientCache(x, factorize_spd(_exact_system(gram, ones, config.lam)), None, "exact")
-
-
-def fit_kernel_newton(
-    features: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    config: KernelConfig,
-    gram: np.ndarray | None = None,
-    nystrom: NystromFactor | None = None,
-) -> KernelLearner:
-    """Solve the Hessian-weighted ridge system for one output column.
-
-    ``gram`` (exact mode) or ``nystrom`` (low-rank mode) may carry
-    precomputed kernel matrices; they are rebuilt from the features
-    otherwise. The weighted system changes with h, so this factorizes on
-    every call; a constant Hessian should use fit_kernel_gradient with a
-    GradientCache instead.
-    """
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+def _targets(solver: KernelSolver, g, h) -> tuple[np.ndarray, np.ndarray]:
+    n = solver.basis.shape[0]
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    n = x.shape[0]
     if g.shape != (n,) or h.shape != (n,):
         raise DataError("gradient/Hessian length mismatch")
+    return g, h
+
+
+def build_gradient_cache(solver: KernelSolver) -> KernelSolver:
+    """The solver with its unit-Hessian system factorized once.
+
+    The system is built by the Newton solve's formulas, which keeps the
+    cached path bit-identical to fit_kernel_newton with a unit Hessian
+    (C^T C as syrk, say, would round differently from the Hessian-weighted
+    product).
+    """
+    ones = np.ones(solver.basis.shape[0])
+    return replace(solver, factor=factorize_spd(_system(solver, ones)))
+
+
+def fit_kernel_newton(solver: KernelSolver, g, h) -> np.ndarray:
+    """Alpha of the Hessian-weighted ridge system for one output column.
+
+    The weighted system changes with h, so this factorizes on every call;
+    a constant Hessian should use fit_kernel_gradient with the solver of
+    build_gradient_cache instead.
+    """
+    g, h = _targets(solver, g, h)
     if np.any(h <= 0):
         raise DataError("Hessian-weighted solve needs strictly positive h")
-
-    if config.nystrom_samples is not None or nystrom is not None:
-        nf = nystrom if nystrom is not None else build_nystrom(x, config)
-        system = _nystrom_system(nf, h, config.lam)
-        alpha = cho_solve(factorize_spd(system), nf.cross.T @ (-g), check_finite=False)
-        return KernelLearner(nf.samples, alpha, config, "nystrom")
-
-    if gram is None:
-        check_exact_gram_fits(n)
-        gram = kernel_matrix(x, x, config.rho)
-    s = np.sqrt(h)
-    z = cho_solve(factorize_spd(_exact_system(gram, s, config.lam)), -g / s, check_finite=False)
-    return KernelLearner(x, s * z, config, "exact")
+    return _alpha(solver, factorize_spd(_system(solver, h)), g, h)
 
 
-def fit_kernel_gradient(
-    features: np.ndarray,
-    g: np.ndarray,
-    config: KernelConfig,
-    cache: GradientCache | None = None,
-    gram: np.ndarray | None = None,
-    nystrom: NystromFactor | None = None,
-) -> KernelLearner:
-    """Constant-Hessian solve alpha = (K + lam I)^{-1}(-g) via a shared factor.
+def fit_kernel_gradient(solver: KernelSolver, g, h) -> np.ndarray:
+    """Alpha of the unit-Hessian system (K + lam I) alpha = -g, from the cached factor.
 
-    Equals fit_kernel_newton with h identically one, bit for bit, so it
-    serves gradient mode and the squared loss in Newton mode alike;
-    passing a cache skips the per-call factorization entirely.
+    h must be identically one. The result equals fit_kernel_newton's with
+    that h bit for bit, so this serves gradient mode and the squared loss
+    in Newton mode alike, without a factorization per call.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != (x.shape[0],):
-        raise DataError("gradient length mismatch")
-    if cache is None:
-        cache = build_gradient_cache(x, config, gram=gram, nystrom=nystrom)
-    if cache.mode == "nystrom":
-        alpha = cho_solve(cache.factor, cache.cross.T @ (-g), check_finite=False)
-    else:
-        alpha = cho_solve(cache.factor, -g, check_finite=False)
-    return KernelLearner(cache.anchors, alpha, config, cache.mode)
-
-
-def predict_kernel(learner: KernelLearner, x: np.ndarray) -> float:
-    """Kernel expansion value at a single point."""
-    row = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    values = kernel_matrix(row, learner.anchors, learner.config.rho) @ learner.alpha
-    return float(values[0])
-
-
-def predict_kernel_batch(learner: KernelLearner, features: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return kernel_matrix(x, learner.anchors, learner.config.rho) @ learner.alpha
+    g, h = _targets(solver, g, h)
+    if solver.factor is None:
+        raise DataError("solver holds no cached factor; see build_gradient_cache")
+    if np.any(h != 1.0):
+        raise DataError("the cached factor serves a unit Hessian only")
+    return _alpha(solver, solver.factor, g, h)
 
 
 def select_rho(features: np.ndarray, k: int, rho_mode: str = "decay01") -> float:

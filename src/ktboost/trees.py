@@ -85,8 +85,13 @@ def fit_tree(
     """Grow a tree greedily on one gradient/Hessian column.
 
     Splits need strictly positive gain; nodes violating the depth or leaf
-    size constraints become leaves. Ties prefer the lowest feature index,
-    then the smallest threshold. ``order`` is ``presort_features(features)``,
+    size constraints become leaves. Splits whose float gains are equal
+    prefer the lowest feature index, then the smallest threshold. Two
+    features that cut a node's rows into the same partition have equal
+    gains in exact arithmetic, but each feature's cumulative sums add the
+    rows in its own sorted order, so their float gains can differ by a few
+    ulps, and that rounding, not the feature index, picks the winner.
+    ``order`` is ``presort_features(features)``,
     computed here when not given; pass it to share one sort between trees
     fitted on the same features.
     """

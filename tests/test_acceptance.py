@@ -21,6 +21,7 @@ from ktboost import (
     Dataset,
     GridSpec,
     KernelConfig,
+    KernelSolver,
     SimFunction,
     build_gradient_cache,
     build_nystrom,
@@ -38,6 +39,7 @@ from ktboost import (
     load,
     loss_values,
     nystrom_gram,
+    nystrom_indices,
     optimal_constant,
     predict,
     predict_tree_batch,
@@ -75,9 +77,10 @@ def test_1_kernel_newton_solve_matches_dense_oracle():
         gh = gradient_hessian(loss, y, scores, newton=True)
         rho = float(rng.uniform(0.5, 2.5))
         lam = float(rng.uniform(0.5, 2.0))
-        learner = fit_kernel_newton(x, gh.g[:, 0], gh.h[:, 0], KernelConfig(rho=rho, lam=lam))
+        gram = kernel_matrix(x, x, rho)
+        alpha = fit_kernel_newton(KernelSolver(x, gram, gram, lam), gh.g[:, 0], gh.h[:, 0])
         ref = oracle_kernel_alpha(x, gh.g[:, 0], gh.h[:, 0], rho, lam)
-        worst = max(worst, float(np.max(np.abs(learner.alpha - ref))))
+        worst = max(worst, float(np.max(np.abs(alpha - ref))))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-7 and elapsed < 10.0
     detail = _verdict(1, "kernel solve vs dense oracle", ok,
@@ -322,17 +325,16 @@ def test_7_single_learner_modes_reproduce_plain_boosting():
                          rho=0.4, lam=1.0, standardize=False, seed=3)
     ens_k, rep_k = fit(data_reg, config)
     loss = for_task("regression")
-    kconfig = KernelConfig(rho=0.4, lam=1.0)
     gram = kernel_matrix(x, x, 0.4)
-    cache = build_gradient_cache(x, kconfig, gram=gram)
+    cache = build_gradient_cache(KernelSolver(x, gram, gram, 1.0))
     scores = np.full(70, optimal_constant(loss, y_reg)[0])
     trace_k = []
     alphas_equal = True
     for m in range(12):
         gh = gradient_hessian(loss, y_reg, scores[:, None], newton=False)
-        kl = fit_kernel_gradient(x, gh.g[:, 0], kconfig, cache=cache)
-        alphas_equal &= np.array_equal(ens_k.iterations[m].learners[0], kl.alpha)
-        scores = scores + 0.3 * (gram @ kl.alpha)
+        alpha = fit_kernel_gradient(cache, gh.g[:, 0], gh.h[:, 0])
+        alphas_equal &= np.array_equal(ens_k.iterations[m].learners[0], alpha)
+        scores = scores + 0.3 * (gram @ alpha)
         trace_k.append(empirical_risk(loss, y_reg, scores))
     kernel_bitwise = alphas_equal and rep_k.train_risk == trace_k
 
@@ -350,7 +352,7 @@ def test_8_nystrom_recovery_monotonicity_and_speed():
     """Full-sample recovery, error monotone in l, and a 5x per-iteration win at scale."""
     rng = np.random.default_rng(808)
     x = rng.uniform(size=(120, 2))
-    factor = build_nystrom(x, KernelConfig(rho=0.9, lam=1.0, nystrom_samples=120, seed=0))
+    factor = build_nystrom(x, nystrom_indices(120, 120, 0), KernelConfig(rho=0.9, lam=1.0))
     exact = kernel_matrix(x, x, 0.9)
     recovery = float(np.max(np.abs(nystrom_gram(factor) - exact)))
     ok_recover = recovery < 1e-8
@@ -361,7 +363,7 @@ def test_8_nystrom_recovery_monotonicity_and_speed():
         xs = np.random.default_rng(900 + seed).uniform(size=(n, 2))
         full = kernel_matrix(xs, xs, 0.7)
         for i, l in enumerate(ls):
-            f = build_nystrom(xs, KernelConfig(rho=0.7, lam=1.0, nystrom_samples=l, seed=seed))
+            f = build_nystrom(xs, nystrom_indices(n, l, seed), KernelConfig(rho=0.7, lam=1.0))
             errs[i] += np.linalg.norm(nystrom_gram(f) - full) / 20.0
     ok_monotone = bool(np.all(np.diff(errs) <= 1e-9))
 

@@ -18,7 +18,7 @@ from ktboost import (
     DataError,
     Dataset,
     Ensemble,
-    KernelConfig,
+    KernelSolver,
     ModelFormatError,
     NumericalError,
     LossFunction,
@@ -36,7 +36,6 @@ from ktboost import (
     loss_values,
     optimal_constant,
     predict,
-    predict_kernel_batch,
     predict_labels,
     predict_proba,
     predict_tree_batch,
@@ -167,10 +166,10 @@ def test_first_iteration_matches_external_candidates():
     tree_risk = empirical_risk(
         loss, data.targets, scores + config.nu * predict_tree_batch(tree, x)
     )
-    kl = fit_kernel_gradient(x, gh.g[:, 0], KernelConfig(rho=0.4, lam=2.0))
-    kernel_risk = empirical_risk(
-        loss, data.targets, scores + config.nu * predict_kernel_batch(kl, x)
-    )
+    gram = kernel_matrix(x, x, 0.4)
+    solver = build_gradient_cache(KernelSolver(x, gram, gram, 2.0))
+    alpha = fit_kernel_gradient(solver, gh.g[:, 0], gh.h[:, 0])
+    kernel_risk = empirical_risk(loss, data.targets, scores + config.nu * (gram @ alpha))
     assert np.isclose(report.tree_risk[0], tree_risk, rtol=1e-12)
     assert np.isclose(report.kernel_risk[0], kernel_risk, rtol=1e-12)
     assert report.chosen[0] == ("tree" if tree_risk <= kernel_risk else "kernel")
@@ -312,15 +311,14 @@ def test_kernel_only_equals_plain_kernel_boosting():
     loss = for_task("regression")
     y = data.targets
     x = data.features
-    kconfig = KernelConfig(rho=0.4, lam=1.0)
     gram = kernel_matrix(x, x, 0.4)
-    cache = build_gradient_cache(x, kconfig, gram=gram)
+    cache = build_gradient_cache(KernelSolver(x, gram, gram, 1.0))
     scores = np.full(data.n_samples, optimal_constant(loss, y)[0])
     trace = []
     for _ in range(10):
         gh = gradient_hessian(loss, y, scores[:, None], newton=False)
-        kl = fit_kernel_gradient(x, gh.g[:, 0], kconfig, cache=cache)
-        scores = scores + 0.3 * (gram @ kl.alpha)
+        alpha = fit_kernel_gradient(cache, gh.g[:, 0], gh.h[:, 0])
+        scores = scores + 0.3 * (gram @ alpha)
         trace.append(empirical_risk(loss, y, scores))
     assert np.allclose(predict(ens, x)[:, 0], scores, atol=1e-12)
     assert np.allclose(report.train_risk, trace, rtol=1e-12)
@@ -354,13 +352,13 @@ def test_exact_gram_over_limit_fails_before_allocating(monkeypatch):
         raise AssertionError("n-by-n allocation before the limit check")
 
     with monkeypatch.context() as mp:
-        mp.setattr(boost, "select_rho", n_by_n)
-        mp.setattr(boost, "kernel_matrix", n_by_n)
+        for module in (boost, kernels):
+            mp.setattr(module, "select_rho", n_by_n)
+            mp.setattr(module, "kernel_matrix", n_by_n)
         for learner in ("ktboost", "kernel"):
-            with pytest.raises(DataError, match="--nystrom"):
-                fit(data, BoostConfig(iterations=2, learner=learner, rho_mode="decay01"))
-        with pytest.raises(DataError, match="--nystrom"):
-            build_gradient_cache(data.features, KernelConfig(rho=0.5, lam=1.0))
+            for rho in ({"rho_mode": "decay01"}, {"rho": 0.5}):
+                with pytest.raises(DataError, match="--nystrom"):
+                    fit(data, BoostConfig(iterations=2, learner=learner, **rho))
     # tree-only and Nystrom fits hold no n-by-n matrix
     fit(data, BoostConfig(iterations=2, learner="tree"))
     fit(data, BoostConfig(iterations=2, learner="kernel", rho_mode="decay01", nystrom=10))
@@ -382,10 +380,11 @@ def _count_factorizations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("nystrom, expected", [(None, 1), (10, 2)])
+@pytest.mark.parametrize("nystrom, expected", [(None, 1), (10, 1)])
 def test_squared_loss_newton_factorizes_once(monkeypatch, nystrom, expected):
-    # h == 1 keeps K + lam*I fixed, so one factor serves all ten rounds;
-    # Nystrom adds the factor of W. lam >= 1 keeps jitter retries away.
+    # h == 1 keeps K + lam*I (or lam*W + C^T C) fixed, so one factor serves
+    # all ten rounds; W alone is never factorized. lam >= 1 keeps jitter
+    # retries away.
     calls = _count_factorizations(monkeypatch)
     config = BoostConfig(iterations=10, learner="kernel", rho=0.5, lam=2.0, nystrom=nystrom, seed=1)
     _, report = fit(_regression_data(seed=30), config)

@@ -45,8 +45,11 @@ def test_dataset_validation():
         Dataset(np.ones(4), np.ones(4), "regression")  # 1-D features
     with pytest.raises(DataError):
         Dataset(np.empty((0, 2)), np.empty(0), "regression")
-    with pytest.raises(DataError):
-        Dataset([[1.0, np.nan]], [0.0], "regression")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="feature column 1 holds a non-finite value"):
+            Dataset([[1.0, bad]], [0.0], "regression")
+        with pytest.raises(DataError, match="feature column 2 holds a non-finite value"):
+            Dataset([[1.0, 2.0, 3.0], [4.0, 5.0, bad]], [0.0, 1.0], "regression")
     with pytest.raises(DataError):
         Dataset([[1.0, 2.0]], [np.inf], "regression")
     with pytest.raises(DataError):

@@ -6,19 +6,21 @@ from scipy.linalg import cho_solve
 
 from ktboost import (
     DataError,
+    Ensemble,
+    IterationLearners,
     KernelConfig,
-    KernelLearner,
+    KernelSolver,
     NumericalError,
     build_gradient_cache,
     build_nystrom,
     fit_kernel_gradient,
     fit_kernel_newton,
     gaussian_kernel,
+    identity_standardizer,
     kernel_matrix,
     nystrom_gram,
     nystrom_indices,
-    predict_kernel,
-    predict_kernel_batch,
+    predict,
     select_rho,
 )
 from ktboost.kernels import DECAY01, factorize_spd
@@ -30,6 +32,29 @@ def _instance(rng, n=20, p=2, rho=1.0, lam=1.0):
     g = rng.normal(size=n)
     h = rng.uniform(0.2, 2.0, n)
     return x, g, h, KernelConfig(rho=rho, lam=lam)
+
+
+def _exact_solver(x, config):
+    gram = kernel_matrix(x, x, config.rho)
+    return KernelSolver(x, gram, gram, config.lam)
+
+
+def _nystrom_solver(x, config):
+    indices = nystrom_indices(len(x), config.nystrom_samples, config.seed)
+    return build_nystrom(x, indices, config)
+
+
+def _expansion(anchors, alpha, rho, rows):
+    """sum_j alpha[j] K(anchors[j], row) per row, through boost.predict.
+
+    A kernel-only model with f0 = 0, nu = 1 and an identity standardizer
+    scores each row with exactly the expansion's value.
+    """
+    ensemble = Ensemble(
+        "regression", "squared", 1.0, np.zeros(1), identity_standardizer(anchors.shape[1]),
+        [IterationLearners("kernel", [alpha])], None, anchors, KernelConfig(rho=rho, lam=1.0),
+    )
+    return predict(ensemble, rows)[:, 0]
 
 
 # ----------------------------------------------------------- kernel values
@@ -73,9 +98,9 @@ def test_newton_alpha_matches_dense_stationarity_solve():
         n = int(rng.integers(5, 40))
         p = int(rng.integers(1, 5))
         x, g, h, config = _instance(rng, n, p, rho=1.0, lam=0.5 + rng.random())
-        learner = fit_kernel_newton(x, g, h, config)
+        alpha = fit_kernel_newton(_exact_solver(x, config), g, h)
         ref = oracle_kernel_alpha(x, g, h, config.rho, config.lam)
-        assert np.max(np.abs(learner.alpha - ref)) < 1e-7
+        assert np.max(np.abs(alpha - ref)) < 1e-7
 
 
 def test_newton_alpha_is_stationary_point():
@@ -83,20 +108,20 @@ def test_newton_alpha_is_stationary_point():
     # K (g + h * (K alpha)) + lam K alpha = 0
     rng = np.random.default_rng(3)
     x, g, h, config = _instance(rng, 25, 3)
-    learner = fit_kernel_newton(x, g, h, config)
+    alpha = fit_kernel_newton(_exact_solver(x, config), g, h)
     k = oracle_kernel_matrix(x, x, config.rho)
-    f = k @ learner.alpha
-    grad = k @ (g + h * f) + config.lam * (k @ learner.alpha)
+    f = k @ alpha
+    grad = k @ (g + h * f) + config.lam * (k @ alpha)
     assert np.max(np.abs(grad)) < 1e-8
 
 
 def test_newton_objective_not_worse_than_oracle():
     rng = np.random.default_rng(4)
     x, g, h, config = _instance(rng, 18, 2)
-    learner = fit_kernel_newton(x, g, h, config)
+    alpha = fit_kernel_newton(_exact_solver(x, config), g, h)
     ref = oracle_kernel_alpha(x, g, h, config.rho, config.lam)
     k = oracle_kernel_matrix(x, x, config.rho)
-    ours = oracle_kernel_objective(k, g, h, config.lam, learner.alpha)
+    ours = oracle_kernel_objective(k, g, h, config.lam, alpha)
     theirs = oracle_kernel_objective(k, g, h, config.lam, ref)
     assert ours <= theirs + 1e-10
     # and the fit genuinely descends from f = 0
@@ -106,24 +131,29 @@ def test_newton_objective_not_worse_than_oracle():
 def test_gradient_mode_equals_unit_hessian_newton():
     rng = np.random.default_rng(5)
     x, g, _, config = _instance(rng, 30, 3)
-    a = fit_kernel_newton(x, g, np.ones(30), config)
-    b = fit_kernel_gradient(x, g, config)
-    assert np.array_equal(a.alpha, b.alpha)
-    assert np.array_equal(a.anchors, b.anchors)
+    solver = _exact_solver(x, config)
+    a = fit_kernel_newton(solver, g, np.ones(30))
+    cached = build_gradient_cache(solver)
+    b = fit_kernel_gradient(cached, g, np.ones(30))
+    assert np.array_equal(a, b)
+    assert np.array_equal(cached.anchors, x)
 
 
 def test_gradient_cache_reuse_is_exact():
     rng = np.random.default_rng(6)
     x, g, _, config = _instance(rng, 24, 2)
-    cache = build_gradient_cache(x, config)
-    fresh = fit_kernel_gradient(x, g, config)
-    cached = fit_kernel_gradient(x, g, config, cache=cache)
-    assert np.array_equal(fresh.alpha, cached.alpha)
+    solver = _exact_solver(x, config)
+    cache = build_gradient_cache(solver)
+    assert solver.factor is None and cache.basis is solver.basis
+    ones = np.ones(24)
+    fresh = fit_kernel_gradient(build_gradient_cache(solver), g, ones)
+    cached = fit_kernel_gradient(cache, g, ones)
+    assert np.array_equal(fresh, cached)
     # cache survives a second right-hand side
     g2 = rng.normal(size=24)
     assert np.array_equal(
-        fit_kernel_gradient(x, g2, config).alpha,
-        fit_kernel_gradient(x, g2, config, cache=cache).alpha,
+        fit_kernel_gradient(build_gradient_cache(solver), g2, ones),
+        fit_kernel_gradient(cache, g2, ones),
     )
 
 
@@ -133,8 +163,8 @@ def test_alpha_norm_shrinks_with_lambda():
     g = rng.normal(size=30)
     norms = []
     for lam in (0.01, 0.1, 1.0, 10.0, 100.0):
-        learner = fit_kernel_gradient(x, g, KernelConfig(rho=1.0, lam=lam))
-        norms.append(np.linalg.norm(learner.alpha))
+        cache = build_gradient_cache(_exact_solver(x, KernelConfig(rho=1.0, lam=lam)))
+        norms.append(np.linalg.norm(fit_kernel_gradient(cache, g, np.ones(30))))
     assert all(a >= b for a, b in zip(norms, norms[1:]))
 
 
@@ -142,10 +172,11 @@ def test_newton_requires_positive_hessians():
     rng = np.random.default_rng(8)
     x, g, h, config = _instance(rng, 10, 2)
     h[3] = 0.0
+    solver = _exact_solver(x, config)
     with pytest.raises(DataError):
-        fit_kernel_newton(x, g, h, config)
+        fit_kernel_newton(solver, g, h)
     with pytest.raises(DataError):
-        fit_kernel_newton(x, g[:-1], h[:-1] * 0 + 1, config)
+        fit_kernel_newton(solver, g[:-1], h[:-1] * 0 + 1)
 
 
 # ------------------------------------------------------------- prediction
@@ -154,37 +185,34 @@ def test_newton_requires_positive_hessians():
 def test_predict_matches_batch_and_is_linear_in_alpha():
     rng = np.random.default_rng(9)
     x, g, h, config = _instance(rng, 15, 3)
-    learner = fit_kernel_newton(x, g, h, config)
+    alpha = fit_kernel_newton(_exact_solver(x, config), g, h)
     grid = rng.normal(size=(40, 3))
-    batch = predict_kernel_batch(learner, grid)
-    scalar = np.array([predict_kernel(learner, row) for row in grid])
+    batch = _expansion(x, alpha, config.rho, grid)
+    scalar = np.array([_expansion(x, alpha, config.rho, row)[0] for row in grid])
     assert np.allclose(batch, scalar, atol=1e-14)
-    doubled = KernelLearner(learner.anchors, 2.0 * learner.alpha, config)
-    assert np.allclose(predict_kernel_batch(doubled, grid), 2.0 * batch)
+    assert np.allclose(_expansion(x, 2.0 * alpha, config.rho, grid), 2.0 * batch)
 
 
 def test_far_field_predictions_vanish():
     rng = np.random.default_rng(10)
     anchors = rng.uniform(-1.0, 1.0, size=(20, 2))
     alpha = rng.normal(size=20)
-    learner = KernelLearner(anchors, alpha, KernelConfig(rho=1.0, lam=1.0))
     # query at least 5 rho away from every anchor: kernel values <= e^-25
     far = np.array([100.0, 100.0])
     bound = np.exp(-25.0) * np.sum(np.abs(alpha))
-    assert abs(predict_kernel(learner, far)) <= bound
+    assert abs(_expansion(anchors, alpha, 1.0, far)[0]) <= bound
 
 
 def test_anchor_permutation_invariance():
     rng = np.random.default_rng(11)
     anchors = rng.normal(size=(12, 2))
     alpha = rng.normal(size=12)
-    config = KernelConfig(rho=0.7, lam=1.0)
     perm = rng.permutation(12)
-    a = KernelLearner(anchors, alpha, config)
-    b = KernelLearner(anchors[perm], alpha[perm], config)
     grid = rng.normal(size=(30, 2))
     assert np.allclose(
-        predict_kernel_batch(a, grid), predict_kernel_batch(b, grid), atol=1e-12
+        _expansion(anchors, alpha, 0.7, grid),
+        _expansion(anchors[perm], alpha[perm], 0.7, grid),
+        atol=1e-12,
     )
 
 
@@ -210,11 +238,12 @@ def test_nystrom_full_sample_recovers_exact_fit():
     x = rng.uniform(-2, 2, size=(n, 2))
     g = rng.normal(size=n)
     h = rng.uniform(0.3, 1.5, n)
-    exact = fit_kernel_newton(x, g, h, KernelConfig(rho=1.0, lam=1.0))
-    low = fit_kernel_newton(x, g, h, KernelConfig(rho=1.0, lam=1.0, nystrom_samples=n))
+    exact = fit_kernel_newton(_exact_solver(x, KernelConfig(rho=1.0, lam=1.0)), g, h)
+    nystrom = _nystrom_solver(x, KernelConfig(rho=1.0, lam=1.0, nystrom_samples=n))
+    low = fit_kernel_newton(nystrom, g, h)
     grid = rng.uniform(-2, 2, size=(60, 2))
     assert np.max(np.abs(
-        predict_kernel_batch(low, grid) - predict_kernel_batch(exact, grid)
+        _expansion(nystrom.anchors, low, 1.0, grid) - _expansion(x, exact, 1.0, grid)
     )) < 1e-8
 
 
@@ -222,13 +251,13 @@ def test_nystrom_gram_is_low_rank_psd():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(35, 3))
     config = KernelConfig(rho=1.0, lam=1.0, nystrom_samples=8, seed=1)
-    factor = build_nystrom(x, config)
-    approx = nystrom_gram(factor)
+    solver = _nystrom_solver(x, config)
+    approx = nystrom_gram(solver)
     eigs = np.linalg.eigvalsh(approx)
     assert eigs.min() > -1e-8
     assert np.sum(eigs > 1e-10) <= 8
-    assert factor.cross.shape == (35, 8)
-    assert np.array_equal(factor.samples, x[factor.indices])
+    assert solver.basis.shape == (35, 8)
+    assert np.array_equal(solver.anchors, x[nystrom_indices(35, 8, 1)])
 
 
 def test_nystrom_error_shrinks_with_sample_count():
@@ -237,16 +266,14 @@ def test_nystrom_error_shrinks_with_sample_count():
     x = rng.uniform(-2, 2, size=(n, 2))
     g = rng.normal(size=n)
     h = rng.uniform(0.3, 1.5, n)
-    exact = fit_kernel_newton(x, g, h, KernelConfig(rho=1.0, lam=1.0))
-    target = predict_kernel_batch(exact, x)
+    exact = _exact_solver(x, KernelConfig(rho=1.0, lam=1.0))
+    target = exact.basis @ fit_kernel_newton(exact, g, h)
     errs = []
     for l in (4, 16, 60):
         per_seed = []
         for seed in range(10):
-            low = fit_kernel_newton(
-                x, g, h, KernelConfig(rho=1.0, lam=1.0, nystrom_samples=l, seed=seed)
-            )
-            per_seed.append(np.mean((predict_kernel_batch(low, x) - target) ** 2))
+            low = _nystrom_solver(x, KernelConfig(rho=1.0, lam=1.0, nystrom_samples=l, seed=seed))
+            per_seed.append(np.mean((low.basis @ fit_kernel_newton(low, g, h) - target) ** 2))
         errs.append(np.mean(per_seed))
     assert errs[0] >= errs[1] >= errs[2]
     assert errs[2] < 1e-12
@@ -257,26 +284,28 @@ def test_nystrom_gradient_cache_matches_fresh():
     x = rng.uniform(-2, 2, size=(80, 2))
     g = rng.normal(size=80)
     config = KernelConfig(rho=1.0, lam=1.0, nystrom_samples=20, seed=5)
-    cache = build_gradient_cache(x, config)
-    a = fit_kernel_gradient(x, g, config)
-    b = fit_kernel_gradient(x, g, config, cache=cache)
-    assert np.array_equal(a.alpha, b.alpha)
-    assert a.mode == b.mode == "nystrom"
+    solver = _nystrom_solver(x, config)
+    cache = build_gradient_cache(solver)
+    ones = np.ones(80)
+    a = fit_kernel_gradient(build_gradient_cache(solver), g, ones)
+    b = fit_kernel_gradient(cache, g, ones)
+    assert np.array_equal(a, b)
+    assert not solver.exact and not cache.exact
     # gradient mode equals unit-Hessian Newton bit for bit in low-rank mode too
-    c = fit_kernel_newton(x, g, np.ones(80), config)
-    assert np.array_equal(a.alpha, c.alpha)
+    c = fit_kernel_newton(solver, g, ones)
+    assert np.array_equal(a, c)
 
 
-def test_build_nystrom_without_cross():
+def test_build_nystrom_holds_the_sampled_basis():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(20, 2))
     config = KernelConfig(rho=1.0, lam=1.0, nystrom_samples=5)
-    factor = build_nystrom(x, config, with_cross=False)
-    assert factor.cross is None
-    with pytest.raises(DataError):
-        nystrom_gram(factor)
-    with pytest.raises(DataError):
-        build_nystrom(x, KernelConfig(rho=1.0, lam=1.0))  # no sample count
+    indices = nystrom_indices(20, 5, 0)
+    solver = build_nystrom(x, indices, config)
+    assert solver.factor is None and not solver.exact
+    assert np.array_equal(solver.anchors, x[indices])
+    assert np.array_equal(solver.gram, kernel_matrix(x[indices], x[indices], 1.0))
+    assert np.array_equal(solver.basis, kernel_matrix(x, x[indices], 1.0))
 
 
 # ------------------------------------------------------------ factorization
@@ -378,12 +407,17 @@ def test_kernel_config_validation():
     assert config.lam == 0.0
 
 
-def test_kernel_learner_validation():
-    with pytest.raises(DataError):
-        KernelLearner(np.ones((3, 2)), np.ones(4), KernelConfig(rho=1, lam=1))
-    with pytest.raises(DataError):
-        KernelLearner(np.ones((3, 2)), np.array([1.0, np.nan, 0.0]),
-                      KernelConfig(rho=1, lam=1))
-    with pytest.raises(DataError):
-        KernelLearner(np.ones((3, 2)), np.ones(3), KernelConfig(rho=1, lam=1),
-                      mode="sketch")
+def test_kernel_solve_validation():
+    x = np.arange(6.0).reshape(3, 2)
+    solver = _exact_solver(x, KernelConfig(rho=1, lam=1))
+    cache = build_gradient_cache(solver)
+    ones = np.ones(3)
+    for solve, s in ((fit_kernel_newton, solver), (fit_kernel_gradient, cache)):
+        with pytest.raises(DataError, match="length mismatch"):
+            solve(s, np.ones(4), np.ones(4))
+        with pytest.raises(DataError, match="non-finite kernel coefficients"):
+            solve(s, np.array([1.0, np.nan, 0.0]), ones)
+    with pytest.raises(DataError, match="no cached factor"):
+        fit_kernel_gradient(solver, ones, ones)
+    with pytest.raises(DataError, match="unit Hessian"):
+        fit_kernel_gradient(cache, ones, np.full(3, 0.5))
