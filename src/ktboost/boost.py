@@ -67,7 +67,8 @@ class BoostConfig:
     Exactly one of ``rho`` (explicit bandwidth) or ``rho_mode``
     (neighbor-distance heuristic, see kernels.select_rho) must be set when
     kernel learners are enabled. ``early_stopping_rounds`` stops training
-    once the validation risk has not improved for that many iterations.
+    once the validation risk has not improved for that many iterations;
+    fit refuses it without validation data.
     """
 
     iterations: int = 100
@@ -192,15 +193,18 @@ def empirical_risk(loss: LossFunction, targets, scores) -> float:
     return float(np.sum(loss_values(loss, targets, scores)))
 
 
-def _resolve_kernel_config(x: np.ndarray, config: BoostConfig) -> tuple[KernelConfig, np.ndarray | None]:
+def _resolve_kernel_config(
+    x: np.ndarray, config: BoostConfig, n_validation: int
+) -> tuple[KernelConfig, np.ndarray | None]:
     """Fix the bandwidth, on the sampled rows when Nystrom is active.
 
     Also returns the indices of those rows, or None in exact mode, whose
-    Gram limit is checked here, before select_rho's n-by-n distances.
+    memory limit (the Gram matrix, its factor and the n_validation rows'
+    kernel matrix) is checked here, before select_rho's n-by-n distances.
     """
     n = x.shape[0]
     if config.nystrom is None:
-        check_exact_gram_fits(n)
+        check_exact_gram_fits(n, n_validation)
         indices = None
     elif config.nystrom > n:
         raise DataError(f"nystrom sample count {config.nystrom} exceeds {n} rows")
@@ -229,6 +233,8 @@ def fit(
     n, p = train.features.shape
     if n < 2:
         raise DataError("fitting needs at least two rows")
+    if config.early_stopping_rounds is not None and validation is None:
+        raise DataError("early stopping needs validation data")
     loss = for_task(train.task, train.n_classes)
     d = loss.n_outputs
     standardizer = fit_standardizer(train) if config.standardize else identity_standardizer(p)
@@ -253,7 +259,7 @@ def fit(
 
     kconfig = solver = val_apply = None  # val_apply maps alpha to validation fitted values
     if use_kernel:
-        kconfig, indices = _resolve_kernel_config(x, config)
+        kconfig, indices = _resolve_kernel_config(x, config, 0 if xv is None else xv.shape[0])
         solver = _kernel_solver(x, kconfig, indices)
         if xv is not None:
             val_apply = kernel_matrix(xv, solver.anchors, kconfig.rho)

@@ -185,6 +185,8 @@ def cmd_train(args) -> int:
     if args.loss is not None and args.loss != expected_loss[args.task]:
         args.parser.error(f"--loss {args.loss} does not fit --task {args.task}")
     config = _boost_config(args, args.parser)
+    if config.early_stopping_rounds is not None and not args.validation:
+        raise DataError("--early-stopping needs --validation")
     target = args.target_column if args.target_column is not None else -1
     if isinstance(target, str) and target.lstrip("-").isdigit():
         target = int(target)

@@ -15,7 +15,8 @@ cached and reused for the whole fit: in gradient mode (h identically one)
 and for the squared loss in Newton mode, whose Hessian is exactly one too.
 Both modes build the system through the same code, so they give
 bit-identical coefficients for the squared loss. Exact mode holds two
-n-by-n matrices and refuses training sets for which they would exceed
+n-by-n matrices, plus the validation rows' kernel matrix against the n
+training rows, and refuses fits for which they would exceed
 EXACT_GRAM_LIMIT_BYTES. The Nystrom variant replaces K by the low-rank
 approximation C W^{-1} C^T built from l uniformly sampled rows (C the
 n-by-l cross matrix, W the l-by-l sample Gram matrix); substituting the
@@ -46,7 +47,8 @@ JITTER_START_EXP = -10
 JITTER_LIMIT_EXP = -4
 
 # Exact mode holds the n-by-n Gram matrix and its cached factor, 16*n^2
-# bytes; larger training sets must use Nystrom sampling.
+# bytes, and the n_val-by-n validation kernel matrix, 8*n_val*n bytes;
+# larger fits must use Nystrom sampling.
 EXACT_GRAM_LIMIT_BYTES = 4 * 2**30
 
 # Batch prediction builds the rows-by-anchors kernel matrix in row blocks
@@ -147,12 +149,19 @@ def factorize_spd(matrix: np.ndarray):
     )
 
 
-def check_exact_gram_fits(n: int) -> None:
-    """Raise DataError when the exact-mode n-by-n matrices exceed the limit."""
-    need = 16 * n * n
+def check_exact_gram_fits(n: int, n_validation: int = 0) -> None:
+    """Raise DataError when the exact-mode kernel matrices exceed the limit.
+
+    They are the n-by-n Gram matrix and its factor, and the kernel matrix
+    of n_validation validation rows against the n training rows.
+    """
+    need = 16 * n * n + 8 * n_validation * n
     if need > EXACT_GRAM_LIMIT_BYTES:
+        rows = f"{n} training rows"
+        if n_validation:
+            rows += f" and {n_validation} validation rows"
         raise DataError(
-            f"exact kernel mode needs {need / 2**30:.1f} GiB for {n} training rows, "
+            f"exact kernel mode needs {need / 2**30:.1f} GiB for {rows}, "
             f"over the {EXACT_GRAM_LIMIT_BYTES / 2**30:.1f} GiB limit; "
             "use Nystrom sampling (--nystrom)"
         )

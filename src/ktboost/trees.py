@@ -23,8 +23,16 @@ Features are sorted once per fit (``presort_features``), not per node:
 each node carries a (p, m) block whose row j lists the node's m rows in
 ascending order of feature j, ties by row index. A split partitions every
 row of the block stably, so the children's blocks stay sorted with the
-same tie order and the per-column scan sees exactly the arrays that a
-per-node stable argsort would produce.
+same tie order and the scan sees exactly the arrays that a per-node
+stable argsort would produce.
+
+A node's columns are scanned together, not one by one: one gather per
+chunk of columns puts their sorted x, g and h values back to back, and
+the scan (``_split_scan_py.best_split``) runs one cumsum along each
+column of the block. A chunk holds at most max(1, SCAN_CHUNK_ELEMENTS //
+m) columns, so its temporaries stay small whatever p is. The cumsum adds
+each column left to right, so every column's gains are bit for bit those
+of a scan of that column alone.
 """
 
 from __future__ import annotations
@@ -35,6 +43,11 @@ import numpy as np
 
 from . import _split_scan_py as _scan
 from .errors import DataError
+
+# Largest columns x rows block that one split scan receives, unless a
+# single column is longer: a node of m rows is scanned in chunks of
+# max(1, SCAN_CHUNK_ELEMENTS // m) columns.
+SCAN_CHUNK_ELEMENTS = 2**14
 
 
 def split_backend_name() -> str:
@@ -84,9 +97,12 @@ def fit_tree(
 ) -> Tree:
     """Grow a tree greedily on one gradient/Hessian column.
 
-    Splits need strictly positive gain; nodes violating the depth or leaf
-    size constraints become leaves. Splits whose float gains are equal
-    prefer the lowest feature index, then the smallest threshold. Two
+    Each node's p columns go to the split scan in chunks of at most
+    SCAN_CHUNK_ELEMENTS column-rows (at least one column per chunk), and a
+    later chunk's split replaces the best so far only on a strictly larger
+    gain. Splits need strictly positive gain; nodes violating the depth or
+    leaf size constraints become leaves. Splits whose float gains are
+    equal prefer the lowest feature index, then the smallest threshold. Two
     features that cut a node's rows into the same partition have equal
     gains in exact arithmetic, but each feature's cumulative sums add the
     rows in its own sorted order, so their float gains can differ by a few
@@ -112,10 +128,14 @@ def fit_tree(
         raise DataError("invalid tree constraints")
     if order is None:
         order = presort_features(x)
-    order = np.asarray(order)
+    order = np.ascontiguousarray(order)
     if order.shape != (p, n) or not np.issubdtype(order.dtype, np.integer):
         raise DataError(f"order must be an integer array of shape ({p}, {n})")
     xt = np.ascontiguousarray(x.T)
+    # Feature j of row r is xflat[column_start[j] + r], in np.intp so that
+    # p * n past 2**31 cannot wrap.
+    xflat = xt.reshape(-1)
+    column_start = np.arange(p, dtype=np.intp) * n
     goes_left = np.zeros(n, dtype=bool)
 
     feature, threshold, right, value, count = [], [], [], [], []
@@ -130,8 +150,8 @@ def fit_tree(
         i = len(value)
         if parent >= 0:
             right[parent] = i
-        total_h = float(np.sum(h[idx]))
-        value.append(-float(np.sum(g[idx])) / total_h if total_h > 0 else 0.0)
+        total_h = float(h.take(idx).sum())
+        value.append(-float(g.take(idx).sum()) / total_h if total_h > 0 else 0.0)
         count.append(idx.size)
         feature.append(-1)
         threshold.append(0.0)
@@ -141,21 +161,24 @@ def fit_tree(
         best_gain = -np.inf
         best_feature = -1
         best_thr = np.nan
-        for j in range(p):
-            rows = block[j]
-            pos, gain, thr = best_split(xt[j, rows], g[rows], h[rows], min_samples_leaf)
+        width = max(1, SCAN_CHUNK_ELEMENTS // idx.size)
+        for j0 in range(0, p, width):
+            rows = block[j0 : j0 + width]
+            flat = rows.reshape(-1)
+            xs = xflat.take((rows + column_start[j0 : j0 + width, None]).reshape(-1))
+            j, pos, gain, thr = best_split(xs, g.take(flat), h.take(flat), min_samples_leaf, rows.shape[0])
             if pos >= 0 and gain > best_gain:
-                best_gain, best_feature, best_thr = gain, j, thr
+                best_gain, best_feature, best_thr = gain, j0 + j, thr
         if best_gain <= 0.0:
             continue
-        mask = xt[best_feature, idx] <= best_thr
-        lrows, rrows = idx[mask], idx[~mask]
+        mask = xt[best_feature].take(idx) <= best_thr
+        lrows, rrows = idx.compress(mask), idx.compress(~mask)
         goes_left[lrows] = True
-        sel = goes_left[block]
+        lblock, rblock = _partition(block, goes_left[block], lrows.size, width)
         goes_left[lrows] = False
         feature[i], threshold[i] = best_feature, best_thr
-        stack.append((i, rrows, block[~sel].reshape(p, rrows.size), depth + 1))
-        stack.append((-1, lrows, block[sel].reshape(p, lrows.size), depth + 1))
+        stack.append((i, rrows, rblock, depth + 1))
+        stack.append((-1, lrows, lblock, depth + 1))
     feature = np.array(feature, dtype=np.int32)
     left = np.where(feature >= 0, np.arange(1, feature.size + 1, dtype=np.int32), np.int32(-1))
     return Tree(
@@ -166,6 +189,24 @@ def fit_tree(
         np.array(value, dtype=np.float64),
         np.array(count, dtype=np.int32),
     )
+
+
+def _partition(block: np.ndarray, sel: np.ndarray, n_left: int, width: int):
+    """Split each block row into its entries where sel is True and the rest.
+
+    Returns the two child blocks; each row keeps its order. compress is
+    several times faster than boolean indexing, but it holds the selected
+    positions as intp, so it runs over at most ``width`` block rows at a
+    time.
+    """
+    p, m = block.shape
+    left = np.empty((p, n_left), dtype=block.dtype)
+    right = np.empty((p, m - n_left), dtype=block.dtype)
+    for j0 in range(0, p, width):
+        cells, keep = block[j0 : j0 + width].reshape(-1), sel[j0 : j0 + width].reshape(-1)
+        np.compress(keep, cells, out=left[j0 : j0 + width].reshape(-1))
+        np.compress(~keep, cells, out=right[j0 : j0 + width].reshape(-1))
+    return left, right
 
 
 def predict_tree(tree: Tree, x: np.ndarray) -> float:

@@ -11,11 +11,53 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ktboost._split_scan_py import best_split
 from ktboost.trees import Tree
 
 
 # ------------------------------------------------------------------ trees
+
+
+# The library's one-column split scan before it scanned a node's columns
+# as one block, kept verbatim so that the block scan is checked against an
+# independent copy rather than against itself.
+def best_split(xs, g, h, min_leaf):
+    """Best split of a column sorted ascending, as (pos, gain, threshold)."""
+    n = xs.shape[0]
+    if n < 2:
+        return -1, -np.inf, np.nan
+    gl = np.cumsum(g)
+    hl = np.cumsum(h)
+    gt = gl[-1]
+    ht = hl[-1]
+    if ht <= 0.0:
+        return -1, -np.inf, np.nan
+
+    pos = np.arange(1, n)
+    ok = xs[1:] != xs[:-1]
+    ok &= (pos >= min_leaf) & (n - pos >= min_leaf)
+    gl = gl[:-1]
+    hl = hl[:-1]
+    hr = ht - hl
+    ok &= (hl > 0.0) & (hr > 0.0)
+    if not ok.any():
+        return -1, -np.inf, np.nan
+
+    gr = gt - gl
+    base = gt * gt / ht
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = gl * gl / hl + gr * gr / hr - base
+    gain[~ok] = -np.inf
+    i = int(np.argmax(gain))
+    a, b = xs[i], xs[i + 1]
+    with np.errstate(over="ignore"):
+        thr = (a + b) / 2.0
+    if not np.isfinite(thr):
+        # a + b overflowed; halving first cannot, and at this magnitude it
+        # is exact, so the result is the correctly rounded midpoint
+        thr = a / 2.0 + b / 2.0
+    if thr >= b:
+        thr = np.nextafter(b, a)
+    return i + 1, float(gain[i]), float(thr)
 
 
 def oracle_best_split(x_col, g, h, min_leaf):
@@ -97,8 +139,10 @@ class Node:
 def argsort_tree(x, g, h, max_depth, min_samples_leaf=1):
     """The grower before presorting: a stable argsort per node and feature.
 
-    Same split scan as the library, so a presorted grower that feeds the
-    scan the same arrays must match this one bit for bit. Returns a Node.
+    Scans each column alone with the one-column ``best_split`` above and
+    keeps a later feature only on a strictly larger gain. The library's
+    presorted block scan adds every column's rows in the same order, so it
+    must match this grower bit for bit. Returns a Node.
     """
     n, p = x.shape
 

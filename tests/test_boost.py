@@ -365,6 +365,20 @@ def test_exact_gram_over_limit_fails_before_allocating(monkeypatch):
     monkeypatch.setattr(kernels, "EXACT_GRAM_LIMIT_BYTES", 16 * 60 * 60)
     fit(data, BoostConfig(iterations=2, learner="kernel", rho=0.5))
 
+    # the validation rows' 8 * 60 bytes each against the 60 anchors count too
+    val = _regression_data(n=10, seed=33)
+    monkeypatch.setattr(kernels, "EXACT_GRAM_LIMIT_BYTES", 16 * 60 * 60 + 8 * 9 * 60)
+    with monkeypatch.context() as mp:
+        for module in (boost, kernels):
+            mp.setattr(module, "select_rho", n_by_n)
+            mp.setattr(module, "kernel_matrix", n_by_n)
+        for learner in ("ktboost", "kernel"):
+            for rho in ({"rho_mode": "decay01"}, {"rho": 0.5}):
+                with pytest.raises(DataError, match="10 validation rows.*--nystrom"):
+                    fit(data, BoostConfig(iterations=2, learner=learner, **rho), val)
+    fit(data, BoostConfig(iterations=2, learner="kernel", rho=0.5, nystrom=10), val)
+    fit(data, BoostConfig(iterations=2, learner="kernel", rho=0.5), _regression_data(n=9, seed=33))
+
 
 def _count_factorizations(monkeypatch):
     from ktboost import kernels
@@ -419,6 +433,14 @@ def test_validation_trace_and_best_iteration():
     assert report.best_iteration == int(np.argmin(vals)) + 1
     # deep undamped trees overfit: the minimum is interior
     assert report.best_iteration < 200
+
+
+def test_early_stopping_needs_validation_data():
+    data = _regression_data(n=40, seed=11)
+    config = BoostConfig(iterations=5, learner="tree", early_stopping_rounds=2)
+    with pytest.raises(DataError, match="early stopping needs validation data"):
+        fit(data, config)
+    fit(data, config, validation=_regression_data(n=20, seed=12))
 
 
 def test_early_stopping_halts_after_patience():

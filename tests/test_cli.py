@@ -150,6 +150,21 @@ def test_exact_gram_over_limit_exits_two(tmp_path, capsys, monkeypatch):
                     "--out", str(tmp_path / "m.json")]) == 0
 
 
+def test_early_stopping_without_validation_exits_two(tmp_path, capsys):
+    data = _write_regression_csv(tmp_path / "d.csv")
+    out = tmp_path / "m.json"
+    argv = ["train", "--data", str(data), "--task", "regression", "--learner", "tree",
+            "--iterations", "5", "--early-stopping", "2", "--out", str(out)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--early-stopping needs --validation" in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+    val = _write_regression_csv(tmp_path / "v.csv", n=30, seed=5)
+    assert run_cli(argv + ["--validation", str(val)]) == 0
+    assert out.exists()
+
+
 def test_numerical_errors_exit_three(tmp_path, capsys):
     # overflow-scale residuals make the squared risk leave float range
     path = tmp_path / "huge.csv"

@@ -18,7 +18,7 @@ from ktboost import (
     presort_features,
     split_backend_name,
 )
-from ktboost import _split_scan_py
+from ktboost import _split_scan_py, trees
 from ktboost.losses import for_task
 from oracles import (
     argsort_tree,
@@ -27,6 +27,7 @@ from oracles import (
     oracle_tree_predict,
     tree_objective,
 )
+from oracles import best_split as one_column_best_split  # the one-column scan, kept verbatim
 
 
 def _random_instance(rng):
@@ -60,9 +61,10 @@ def test_stump_hand_case():
 
 def test_split_gain_value():
     # G = 0 so the base term vanishes: gain = 9/1 + 9/1
-    pos, gain, thr = _split_scan_py.best_split(
-        np.array([0.0, 1.0]), np.array([3.0, -3.0]), np.ones(2), 1
+    column, pos, gain, thr = _split_scan_py.best_split(
+        np.array([0.0, 1.0]), np.array([3.0, -3.0]), np.ones(2), 1, 1
     )
+    assert column == 0
     assert (pos, gain, thr) == (1, 18.0, 0.5)
 
 
@@ -274,6 +276,157 @@ def test_order_validation():
     for bad in (order.T, order[:, :5], order[0], order.astype(np.float64), order > 2):
         with pytest.raises(DataError):
             fit_tree(x, g, h, 2, order=bad)
+
+
+# ------------------------------------------------- the all-column scan
+
+
+def _node_columns(x, g, h):
+    """Each column's sorted values and the node's g and h in that order."""
+    orders = [np.argsort(x[:, j], kind="stable") for j in range(x.shape[1])]
+    return ([x[o, j] for j, o in enumerate(orders)], [g[o] for o in orders], [h[o] for o in orders])
+
+
+def _scan_both(x, g, h, min_leaf):
+    """The block scan and the one-column oracle merged with a strict >."""
+    xs, gs, hs = _node_columns(x, g, h)
+    got = _split_scan_py.best_split(np.concatenate(xs), np.concatenate(gs), np.concatenate(hs),
+                                    min_leaf, len(xs))
+    want = (-1, -1, -np.inf, np.nan)
+    for j in range(len(xs)):
+        pos, gain, thr = one_column_best_split(xs[j], gs[j], hs[j], min_leaf)
+        if pos >= 0 and gain > want[2]:
+            want = (j, pos, gain, thr)
+    return got, want
+
+
+def _assert_same_split(got, want):
+    assert got[:2] == want[:2], (got, want)
+    # bits, so that -0.0 and 0.0 or two NaNs are told apart or matched exactly
+    for a, b in zip(got[2:], want[2:]):
+        assert np.float64(a).tobytes() == np.float64(b).tobytes(), (got, want)
+
+
+def test_block_scan_matches_one_column_oracle():
+    rng = np.random.default_rng(21)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for trial in range(400):
+            m = int(rng.integers(1, 40))
+            c = int(rng.integers(1, 7))
+            kind = trial % 8
+            x = rng.normal(size=(m, c))
+            if kind in (1, 2):  # tie-heavy
+                x = rng.choice(np.round(rng.normal(size=3), 1), size=(m, c))
+            if kind == 2:  # constant columns
+                x[:, rng.random(c) < 0.5] = 1.5
+            if kind == 3:  # repeated and monotonically mapped columns
+                base = rng.normal(size=m)
+                x = np.column_stack([base, base**3, base, 2 * base + 1][:c] + [base] * max(0, c - 4))
+            g = rng.normal(size=m)
+            if kind == 4:  # gradients near 1e200 overflow the gains to inf and NaN
+                g *= 1e200
+            if kind == 5:  # exactly representable sums give many exactly equal gains
+                g = rng.choice([-1.0, 1.0], size=m)
+            h = rng.uniform(0.0, 2.0, m) if trial % 2 else np.ones(m)
+            if kind == 6:  # zero Hessians, sometimes on every row
+                h[rng.random(m) < 0.5] = 0.0
+                if rng.random() < 0.2:
+                    h[:] = 0.0
+            min_leaf = 1 + trial % 3
+            _assert_same_split(*_scan_both(x, g, h, min_leaf))
+
+
+def test_block_scan_equal_gains_prefer_lowest_column():
+    rng = np.random.default_rng(22)
+    col = rng.normal(size=30)
+    g = rng.normal(size=30)
+    # column 0 cannot split; columns 1-3 sort the rows alike: bit-equal gains
+    x = np.column_stack([np.full(30, 2.0), col, col**3, col * 7])
+    got, want = _scan_both(x, g, np.ones(30), 1)
+    _assert_same_split(got, want)
+    assert got[0] == 1
+
+
+def test_block_scan_skips_a_column_with_nan_gains():
+    # in column 0 the prefix sums overflow, so g_total is inf and its gains
+    # are NaN; column 1 adds the same rows without overflow and splits
+    x = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])
+    g = np.array([1e308, 1e308, -1e308, -1e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _scan_both(x, g, np.ones(4), 1)
+        assert np.isnan(one_column_best_split(x[:, 0], g, np.ones(4), 1)[1])
+    _assert_same_split(got, want)
+    assert got[:3] == (1, 1, np.inf)
+
+
+def test_block_scan_threshold_edge_cases():
+    lo = np.nextafter(-1.0, -2.0)
+    cases = [
+        # the winning midpoint's sum overflows
+        (np.array([[-1.7e308], [-1e308], [-0.9e308], [-0.5e308]]), np.array([1.0, 1.0, -1.0, -1.0])),
+        # adjacent floats: the midpoint rounds up to the right value
+        (np.array([[lo, 3.0], [-1.0, 3.0]]), np.array([-1.0, 1.0])),
+    ]
+    for x, g in cases:
+        got, want = _scan_both(x, g, np.ones(len(g)), 1)
+        _assert_same_split(got, want)
+        assert np.isfinite(got[3]) and got[0] == 0
+
+
+@pytest.mark.parametrize("budget", [1, 5, 7, 100, 2**16])
+def test_chunked_scan_matches_argsort_grower(monkeypatch, budget):
+    monkeypatch.setattr(trees, "SCAN_CHUNK_ELEMENTS", budget)
+    rng = np.random.default_rng(24)
+    for trial in range(30):
+        n = int(rng.integers(2, 60))
+        base = rng.normal(size=(n, 3))
+        if trial % 3 == 0:
+            base = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(n, 3))
+        # every column appears three times, so equal gains sit in
+        # different chunks whenever the budget holds fewer than 9 columns
+        x = np.column_stack([base, base, base[:, ::-1]])
+        g = rng.normal(size=n) if trial % 2 else rng.choice([-1.0, 1.0], size=n)
+        h = rng.uniform(0.0, 2.0, n) if trial % 4 == 1 else np.ones(n)
+        depth = int(rng.integers(1, 5))
+        min_leaf = 1 + trial % 3
+        tree = fit_tree(x, g, h, depth, min_leaf)
+        assert_same_tree(tree, argsort_tree(x, g, h, depth, min_leaf))
+        # copies of a column never win over the lowest index
+        assert set(tree.feature[tree.feature >= 0].tolist()) <= {0, 1, 2}
+
+
+def _scanned_rows(tree, p, max_depth, min_leaf):
+    """p * rows summed over the nodes that the grower scans for a split."""
+    depth = np.zeros(tree.n.size, dtype=np.int64)
+    for i in np.flatnonzero(tree.feature >= 0):
+        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    scanned = (depth < max_depth) & (tree.n >= 2 * min_leaf)
+    return p * int(tree.n[scanned].sum())
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+def test_scan_sees_every_column_row_of_every_scanned_node(monkeypatch, budget):
+    # perfbench counts trees.best_split.rows as len(xs) of this function;
+    # the total must stay p * rows over the scanned nodes, chunks or not
+    if budget is not None:
+        monkeypatch.setattr(trees, "SCAN_CHUNK_ELEMENTS", budget)
+    seen = []
+    real = trees._scan.best_split
+
+    def counting(xs, *args, **kwargs):
+        seen.append(len(xs))
+        return real(xs, *args, **kwargs)
+
+    monkeypatch.setattr(trees._scan, "best_split", counting)
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=(400, 6))
+    x[:, 4] = np.round(x[:, 4])
+    g = rng.normal(size=400) + (x[:, 0] > 0.3)
+    for depth, min_leaf in ((0, 1), (1, 1), (4, 3), (7, 20)):
+        seen.clear()
+        tree = fit_tree(x, g, np.ones(400), depth, min_leaf)
+        assert sum(seen) == _scanned_rows(tree, 6, depth, min_leaf)
+        assert (sum(seen) > 0) == (depth > 0)
 
 
 # ------------------------------------------------------------- prediction
