@@ -48,7 +48,6 @@ from .data import (
     Dataset,
     SplitSpec,
     Standardizer,
-    align_labels,
     fit_standardizer,
     identity_standardizer,
     load_csv,
@@ -64,7 +63,6 @@ from .kernels import (
     build_nystrom,
     fit_kernel_gradient,
     fit_kernel_newton,
-    gaussian_kernel,
     kernel_matrix,
     nystrom_gram,
     nystrom_indices,
@@ -79,9 +77,9 @@ from .losses import (
     optimal_constant,
 )
 from .trees import (
+    SortedFeatures,
     Tree,
     fit_tree,
-    predict_tree,
     predict_tree_batch,
     presort_features,
     split_backend_name,

@@ -255,7 +255,7 @@ def fit(
     use_tree = config.learner in ("ktboost", "tree")
     use_kernel = config.learner in ("ktboost", "kernel")
     # x never changes, so one sort serves every tree of the fit.
-    order = presort_features(x) if use_tree else None
+    sorted_x = presort_features(x) if use_tree else None
 
     kconfig = solver = val_apply = None  # val_apply maps alpha to validation fitted values
     if use_kernel:
@@ -288,11 +288,12 @@ def fit(
         tree_learners = tree_pred = None
         tree_risk = np.nan
         if use_tree:
-            tree_learners = [
-                fit_tree(x, gh.g[:, k], gh.h[:, k], config.max_depth, config.min_samples_leaf, order)
+            grown = [
+                fit_tree(sorted_x, gh.g[:, k], gh.h[:, k], config.max_depth, config.min_samples_leaf)
                 for k in range(d)
             ]
-            tree_pred = np.column_stack([predict_tree_batch(t, x) for t in tree_learners])
+            tree_learners = [tree for tree, _ in grown]
+            tree_pred = np.column_stack([tree.value.take(leaf) for tree, leaf in grown])
             tree_risk = empirical_risk(loss, y, scores + step * tree_pred)
 
         kernel_learners = kernel_pred = None

@@ -44,7 +44,7 @@ from .boost import (
     save,
     truncate,
 )
-from .data import TASKS, align_labels, load_csv, load_features, write_csv
+from .data import TASKS, load_csv, load_features, write_csv
 from .errors import DataError, NumericalError
 from .losses import for_task
 
@@ -193,7 +193,8 @@ def cmd_train(args) -> int:
     train = load_csv(args.data, target_column=target, task=args.task)
     validation = None
     if args.validation:
-        validation = align_labels(train, load_csv(args.validation, target_column=target, task=args.task))
+        validation = load_csv(args.validation, target_column=target, task=args.task,
+                              labels=train.label_names)
     ensemble, report = fit(train, config, validation)
     completed = ensemble.n_iterations
     if validation is not None and report.best_iteration < completed:
@@ -216,8 +217,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     ensemble = load(args.model)
     if args.has_target:
-        data = load_csv(args.data, task=ensemble.task)
-        features = data.features
+        features = load_csv(args.data, task=ensemble.task, labels=ensemble.label_names).features
     else:
         features, _ = load_features(args.data)
     scores = predict(ensemble, features)
@@ -241,21 +241,13 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ensemble = load(args.model)
-    data = load_csv(args.data, task=ensemble.task)
-    if ensemble.task != "regression" and ensemble.label_names and data.label_names:
-        mapping = {name: i for i, name in enumerate(ensemble.label_names)}
-        missing = [n for n in data.label_names if n not in mapping]
-        if missing:
-            raise DataError(f"labels {missing} unknown to the model")
-        recoded = np.array([mapping[data.label_names[t]] for t in data.targets])
-    else:
-        recoded = data.targets
+    data = load_csv(args.data, task=ensemble.task, labels=ensemble.label_names)
     scores = predict(ensemble, data.features)
     loss = for_task(ensemble.task, ensemble.n_outputs if ensemble.task == "multiclass" else 0)
     out = {
         "n": data.n_samples,
-        "risk": empirical_risk(loss, recoded, scores),
-        "metric": metric(ensemble.task, recoded, scores),
+        "risk": empirical_risk(loss, data.targets, scores),
+        "metric": metric(ensemble.task, data.targets, scores),
     }
     print(_canonical_json(out))
     return 0

@@ -229,16 +229,25 @@ def load_csv(
     target_column: str | int = -1,
     task: str = "regression",
     header: bool = True,
+    labels: tuple[str, ...] | None = None,
 ) -> Dataset:
     """Load a comma-separated file into a Dataset.
 
     The target column may be named (requires a header) or given as an
     index; the remaining columns become features in file order. Missing
     and non-numeric cells are rejected, never imputed. Categorical
-    classification labels are enumerated lexicographically.
+    classification labels are enumerated lexicographically, or, when
+    ``labels`` is given (the label map of the training data or a model),
+    index into those names: the file may hold any subset of them, and a
+    label outside them is an error.
     """
     if task not in TASKS:
         raise DataError(f"unknown task {task!r}")
+    if labels is not None:
+        if task == "regression":
+            raise DataError("regression targets take no label map")
+        if len(set(labels)) != len(labels):
+            raise DataError("the label map repeats a label")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -297,13 +306,19 @@ def load_csv(
         )
         return Dataset(features, targets, task, 0, feature_names)
 
-    labels = sorted(set(raw_targets))
-    if "" in labels:
+    found = set(raw_targets)
+    if "" in found:
         raise DataError("missing target label")
-    if task == "binary" and len(labels) != 2:
-        raise DataError(f"binary task found {len(labels)} distinct labels")
-    if len(labels) < 2:
-        raise DataError("classification needs at least two distinct labels")
+    if labels is None:
+        labels = sorted(found)
+        if task == "binary" and len(labels) != 2:
+            raise DataError(f"binary task found {len(labels)} distinct labels")
+        if len(labels) < 2:
+            raise DataError("classification needs at least two distinct labels")
+    else:
+        unknown = sorted(found.difference(labels))
+        if unknown:
+            raise DataError(f"labels {unknown} are not among the known labels {list(labels)}")
     index = {label: i for i, label in enumerate(labels)}
     targets = np.array([index[c] for c in raw_targets], dtype=np.int64)
     return Dataset(features, targets, task, len(labels), feature_names, tuple(labels))
@@ -362,33 +377,3 @@ def load_features(path, header: bool = True) -> tuple[np.ndarray, tuple[str, ...
         for j, cell in enumerate(row):
             features[i, j] = _parse_cell(cell, i, j)
     return features, names
-
-
-def align_labels(reference: Dataset, other: Dataset) -> Dataset:
-    """Recode a second dataset's class indices to the reference's label map.
-
-    Files enumerate labels independently, so a validation or test file that
-    is missing some class would otherwise use shifted indices. Labels absent
-    from the reference are an error; regression data pass through.
-    """
-    if reference.task == "regression":
-        return other
-    if reference.label_names is None or other.label_names is None:
-        if other.n_classes > reference.n_classes:
-            raise DataError("second dataset has more classes than the reference")
-        return other
-    if reference.label_names == other.label_names:
-        return other
-    mapping = {name: i for i, name in enumerate(reference.label_names)}
-    missing = [n for n in other.label_names if n not in mapping]
-    if missing:
-        raise DataError(f"labels {missing} do not occur in the reference data")
-    recoded = np.array([mapping[other.label_names[t]] for t in other.targets], dtype=np.int64)
-    return Dataset(
-        other.features,
-        recoded,
-        reference.task,
-        reference.n_classes,
-        other.feature_names,
-        reference.label_names,
-    )

@@ -172,16 +172,6 @@ def kernel_block_rows(n_anchors: int) -> int:
     return max(1, KERNEL_BLOCK_LIMIT_BYTES // (8 * n_anchors))
 
 
-def gaussian_kernel(x1: np.ndarray, x2: np.ndarray, rho: float) -> float:
-    """exp(-||x1 - x2||^2 / rho^2) for a single pair of points."""
-    a = np.asarray(x1, dtype=np.float64)
-    b = np.asarray(x2, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DataError("kernel arguments must share a dimension")
-    sq = float(np.sum((a - b) ** 2))
-    return float(np.exp(-sq / (rho * rho)))
-
-
 def kernel_matrix(rows_a: np.ndarray, rows_b: np.ndarray, rho: float) -> np.ndarray:
     """Pairwise Gaussian kernel values between two row sets."""
     a = np.atleast_2d(np.asarray(rows_a, dtype=np.float64))

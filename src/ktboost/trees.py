@@ -19,12 +19,17 @@ before its subtrees, the left subtree before the right one):
     value      float64  -G/H of the node's rows, internal nodes included
     n          int32    number of training rows in the node
 
-Features are sorted once per fit (``presort_features``), not per node:
-each node carries a (p, m) block whose row j lists the node's m rows in
-ascending order of feature j, ties by row index. A split partitions every
-row of the block stably, so the children's blocks stay sorted with the
-same tie order and the scan sees exactly the arrays that a per-node
-stable argsort would produce.
+Each fit checks and sorts its features once: ``presort_features`` refuses
+empty and non-finite features and returns a frozen ``SortedFeatures`` (the
+transposed features, their sort order and the column offsets) that every
+tree of the fit shares; ``fit_tree`` checks only its g and h. Each node
+carries a (p, m) block whose row j lists the node's m rows in ascending
+order of feature j, ties by row index. A split partitions every row of
+the block stably, so the children's blocks stay sorted with the same tie
+order and the scan sees exactly the arrays that a per-node stable argsort
+would produce. Because the grower partitions the training rows itself,
+``fit_tree`` also returns the leaf of every training row, and the tree's
+values on those rows are ``tree.value.take(leaf)`` without a second walk.
 
 A node's columns are scanned together, not one by one: one gather per
 chunk of columns puts their sorted x, g and h values back to back, and
@@ -54,13 +59,40 @@ def split_backend_name() -> str:
     return "numpy"
 
 
-def presort_features(features: np.ndarray) -> np.ndarray:
-    """Row indices sorted by each feature, shape (p, n), int32.
+@dataclass(frozen=True, eq=False)
+class SortedFeatures:
+    """The features of one fit, checked and sorted once for all its trees.
+
+    ``xflat`` holds x.T back to back: feature j of row r is
+    ``xflat[column_start[j] + r]``, with the offsets in np.intp so that
+    p * n past 2**31 cannot wrap. Row j of ``order`` (int32, shape (p, n))
+    lists the rows in ascending order of feature j, ties by row index.
+    The arrays are read-only.
+    """
+
+    xflat: np.ndarray
+    order: np.ndarray
+    column_start: np.ndarray
+
+
+def presort_features(features: np.ndarray) -> SortedFeatures:
+    """Check a non-empty, finite 2-D feature matrix and sort each feature.
 
     The argsort is stable, so equal values keep ascending row order.
     """
     x = np.asarray(features, dtype=np.float64)
-    return np.argsort(x.T, axis=1, kind="stable").astype(np.int32)
+    if x.ndim != 2 or x.size == 0:
+        raise DataError("tree features must be a non-empty 2-D matrix")
+    finite = np.isfinite(x).all(axis=0)
+    if not finite.all():
+        raise DataError(f"feature column {int(np.argmin(finite))} holds a non-finite value")
+    n, p = x.shape
+    xt = np.ascontiguousarray(x.T)
+    order = np.argsort(xt, axis=1, kind="stable").astype(np.int32)
+    column_start = np.arange(p, dtype=np.intp) * n
+    for a in (xt, order, column_start):
+        a.flags.writeable = False
+    return SortedFeatures(xt.reshape(-1), order, column_start)
 
 
 @dataclass(eq=False)
@@ -88,14 +120,18 @@ class Tree:
 
 
 def fit_tree(
-    features: np.ndarray,
+    sorted_x: SortedFeatures,
     g: np.ndarray,
     h: np.ndarray,
     max_depth: int,
     min_samples_leaf: int = 1,
-    order: np.ndarray | None = None,
-) -> Tree:
+) -> tuple[Tree, np.ndarray]:
     """Grow a tree greedily on one gradient/Hessian column.
+
+    ``sorted_x`` is ``presort_features(x)``; pass the same object to every
+    tree fitted on x. Returns the tree and ``leaf``, where ``leaf[r]`` is
+    the preorder index of training row r's leaf, so ``tree.value.take(leaf)``
+    is the tree's value on every training row. g and h must be finite.
 
     Each node's p columns go to the split scan in chunks of at most
     SCAN_CHUNK_ELEMENTS column-rows (at least one column per chunk), and a
@@ -107,36 +143,26 @@ def fit_tree(
     gains in exact arithmetic, but each feature's cumulative sums add the
     rows in its own sorted order, so their float gains can differ by a few
     ulps, and that rounding, not the feature index, picks the winner.
-    ``order`` is ``presort_features(features)``,
-    computed here when not given; pass it to share one sort between trees
-    fitted on the same features.
     """
+    if not isinstance(sorted_x, SortedFeatures):
+        raise TypeError("fit_tree takes the SortedFeatures of presort_features(x)")
     best_split = _scan.best_split
-    x = np.ascontiguousarray(features, dtype=np.float64)
+    order, xflat, column_start = sorted_x.order, sorted_x.xflat, sorted_x.column_start
+    p, n = order.shape
     g = np.ascontiguousarray(g, dtype=np.float64)
     h = np.ascontiguousarray(h, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise DataError("fit_tree needs a non-empty feature matrix")
-    n, p = x.shape
     if g.shape != (n,) or h.shape != (n,):
         raise DataError("gradient/Hessian length mismatch")
+    if not (np.isfinite(g).all() and np.isfinite(h).all()):
+        raise DataError("non-finite gradient or Hessian entries")
     if np.any(h < 0):
         raise DataError("negative Hessian entries")
     if not np.any(h > 0):
         raise DataError("all-zero Hessian column")
     if max_depth < 0 or min_samples_leaf < 1:
         raise DataError("invalid tree constraints")
-    if order is None:
-        order = presort_features(x)
-    order = np.ascontiguousarray(order)
-    if order.shape != (p, n) or not np.issubdtype(order.dtype, np.integer):
-        raise DataError(f"order must be an integer array of shape ({p}, {n})")
-    xt = np.ascontiguousarray(x.T)
-    # Feature j of row r is xflat[column_start[j] + r], in np.intp so that
-    # p * n past 2**31 cannot wrap.
-    xflat = xt.reshape(-1)
-    column_start = np.arange(p, dtype=np.intp) * n
     goes_left = np.zeros(n, dtype=bool)
+    leaf = np.empty(n, dtype=np.intp)
 
     feature, threshold, right, value, count = [], [], [], [], []
     # Each entry: the node whose right child this is (-1 otherwise), the
@@ -148,6 +174,7 @@ def fit_tree(
     while stack:
         parent, idx, block, depth = stack.pop()
         i = len(value)
+        leaf[idx] = i  # the node's children, if any, overwrite it
         if parent >= 0:
             right[parent] = i
         total_h = float(h.take(idx).sum())
@@ -171,7 +198,8 @@ def fit_tree(
                 best_gain, best_feature, best_thr = gain, j0 + j, thr
         if best_gain <= 0.0:
             continue
-        mask = xt[best_feature].take(idx) <= best_thr
+        start = column_start[best_feature]
+        mask = xflat[start : start + n].take(idx) <= best_thr
         lrows, rrows = idx.compress(mask), idx.compress(~mask)
         goes_left[lrows] = True
         lblock, rblock = _partition(block, goes_left[block], lrows.size, width)
@@ -181,14 +209,9 @@ def fit_tree(
         stack.append((-1, lrows, lblock, depth + 1))
     feature = np.array(feature, dtype=np.int32)
     left = np.where(feature >= 0, np.arange(1, feature.size + 1, dtype=np.int32), np.int32(-1))
-    return Tree(
-        feature,
-        np.array(threshold, dtype=np.float64),
-        left,
-        np.array(right, dtype=np.int32),
-        np.array(value, dtype=np.float64),
-        np.array(count, dtype=np.int32),
-    )
+    tree = Tree(feature, np.array(threshold, dtype=np.float64), left, np.array(right, dtype=np.int32),
+                np.array(value, dtype=np.float64), np.array(count, dtype=np.int32))
+    return tree, leaf
 
 
 def _partition(block: np.ndarray, sel: np.ndarray, n_left: int, width: int):
@@ -207,15 +230,6 @@ def _partition(block: np.ndarray, sel: np.ndarray, n_left: int, width: int):
         np.compress(keep, cells, out=left[j0 : j0 + width].reshape(-1))
         np.compress(~keep, cells, out=right[j0 : j0 + width].reshape(-1))
     return left, right
-
-
-def predict_tree(tree: Tree, x: np.ndarray) -> float:
-    """Weight of the unique leaf containing x."""
-    x = np.asarray(x, dtype=np.float64)
-    i = 0
-    while tree.feature[i] >= 0:
-        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
-    return float(tree.value[i])
 
 
 def predict_tree_batch(tree: Tree, features: np.ndarray) -> np.ndarray:

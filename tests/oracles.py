@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ktboost.errors import DataError
 from ktboost.trees import Tree
 
 
@@ -181,6 +182,15 @@ def argsort_tree(x, g, h, max_depth, min_samples_leaf=1):
     return grow(np.arange(n), 0)
 
 
+def predict_tree(tree: Tree, x) -> float:
+    """Weight of the leaf of a ``Tree`` that contains the single point x."""
+    x = np.asarray(x, dtype=np.float64)
+    i = 0
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return float(tree.value[i])
+
+
 def oracle_tree_predict(node, row):
     while "feature" in node:
         node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
@@ -238,6 +248,16 @@ def tree_objective(g, h, pred):
 
 
 # ----------------------------------------------------------------- kernels
+
+
+def gaussian_kernel(x1, x2, rho) -> float:
+    """exp(-||x1 - x2||^2 / rho^2) for a single pair of points."""
+    a = np.asarray(x1, dtype=np.float64)
+    b = np.asarray(x2, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DataError("kernel arguments must share a dimension")
+    sq = float(np.sum((a - b) ** 2))
+    return float(np.exp(-sq / (rho * rho)))
 
 
 def oracle_kernel_matrix(a, b, rho):

@@ -43,6 +43,7 @@ from ktboost import (
     optimal_constant,
     predict,
     predict_tree_batch,
+    presort_features,
     run_simulation_study,
     run_split_benchmark,
     save,
@@ -175,7 +176,7 @@ def test_3_tree_fits_match_exhaustive_enumeration():
         x = np.round(rng.normal(size=(n, p)), 2)  # ties exercise the tie-breaks
         g = rng.normal(size=n)
         h = rng.uniform(0.5, 2.0, size=n) if case % 2 else np.ones(n)
-        tree = fit_tree(x, g, h, depth)
+        tree, _ = fit_tree(presort_features(x), g, h, depth)
         ref = oracle_tree(x, g, h, depth)
         assert_same_tree(tree, ref)
         pred = predict_tree_batch(tree, x)
@@ -311,9 +312,10 @@ def test_7_single_learner_modes_reproduce_plain_boosting():
     loss = for_task("binary")
     scores = np.tile(optimal_constant(loss, y_bin), (70, 1))
     trace_t = []
+    sorted_x = presort_features(x)
     for _ in range(15):
         gh = gradient_hessian(loss, y_bin, scores, newton=True)
-        tree = fit_tree(x, gh.g[:, 0], gh.h[:, 0], 3)
+        tree, _ = fit_tree(sorted_x, gh.g[:, 0], gh.h[:, 0], 3)
         scores += 0.2 * predict_tree_batch(tree, x)[:, None]
         trace_t.append(empirical_risk(loss, y_bin, scores))
     tree_bitwise = (np.array_equal(predict(ens_t, x), scores)

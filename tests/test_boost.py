@@ -39,6 +39,7 @@ from ktboost import (
     predict_labels,
     predict_proba,
     predict_tree_batch,
+    presort_features,
     save,
     select_rho,
     truncate,
@@ -162,7 +163,7 @@ def test_first_iteration_matches_external_candidates():
     f0 = optimal_constant(loss, data.targets)
     scores = np.full(data.n_samples, f0[0])
     gh = gradient_hessian(loss, data.targets, scores, newton=False)
-    tree = fit_tree(x, gh.g[:, 0], gh.h[:, 0], config.max_depth)
+    tree, _ = fit_tree(presort_features(x), gh.g[:, 0], gh.h[:, 0], config.max_depth)
     tree_risk = empirical_risk(
         loss, data.targets, scores + config.nu * predict_tree_batch(tree, x)
     )
@@ -258,7 +259,7 @@ def test_undamped_selection_compares_full_step():
     f0 = optimal_constant(loss, data.targets)
     scores = np.full(data.n_samples, f0[0])
     gh = gradient_hessian(loss, data.targets, scores, newton=False)
-    tree = fit_tree(data.features, gh.g[:, 0], gh.h[:, 0], config.max_depth)
+    tree, _ = fit_tree(presort_features(data.features), gh.g[:, 0], gh.h[:, 0], config.max_depth)
     tree_pred = predict_tree_batch(tree, data.features)
     # selection risk uses the undamped step nu=1
     full = empirical_risk(loss, data.targets, scores + tree_pred)
@@ -293,9 +294,10 @@ def test_tree_only_equals_plain_tree_boosting():
     f0 = optimal_constant(loss, y)
     scores = np.tile(f0, (data.n_samples, 1))
     trace = []
+    sorted_x = presort_features(data.features)
     for _ in range(15):
         gh = gradient_hessian(loss, y, scores, newton=True)
-        tree = fit_tree(data.features, gh.g[:, 0], gh.h[:, 0], 3)
+        tree, _ = fit_tree(sorted_x, gh.g[:, 0], gh.h[:, 0], 3)
         scores += 0.2 * predict_tree_batch(tree, data.features)[:, None]
         trace.append(empirical_risk(loss, y, scores))
     engine_scores = predict(ens, data.features)
@@ -411,6 +413,29 @@ def test_logistic_newton_factorizes_every_round(monkeypatch):
     config = BoostConfig(iterations=10, learner="kernel", rho=1.0, lam=2.0)
     fit(_binary_data(seed=31), config)
     assert len(calls) == 10
+
+
+def test_tree_candidate_reads_training_rows_from_the_leaf_index(monkeypatch):
+    # fit_tree returns each training row's leaf, so the tree walk runs only
+    # over validation rows: once per admitted tree round and output
+    from ktboost import boost
+
+    rows = []
+    real = boost.predict_tree_batch
+
+    def counting(tree, x):
+        rows.append(len(x))
+        return real(tree, x)
+
+    monkeypatch.setattr(boost, "predict_tree_batch", counting)
+    data = _multiclass_data()
+    fit(data, BoostConfig(iterations=4, learner="tree", max_depth=2))
+    assert rows == []
+    train, val = data.subset(np.arange(60)), data.subset(np.arange(60, 90))
+    config = BoostConfig(iterations=8, nu=0.5, rho=3.0, lam=0.1, max_depth=1)
+    _, report = fit(train, config, validation=val)
+    assert set(report.chosen) == {"tree", "kernel"}
+    assert rows == [30] * (3 * report.chosen.count("tree"))
 
 
 # ------------------------------------------------------ validation control

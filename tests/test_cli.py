@@ -15,6 +15,7 @@ from ktboost import (
     identity_standardizer,
     load,
     load_csv,
+    metric,
     predict_proba,
     save,
     write_csv,
@@ -403,6 +404,39 @@ def test_evaluate_aligns_label_subset(tmp_path, capsys):
                     "--data", str(tmp_path / "eval.csv")]) == 0
     evaluation = json.loads(capsys.readouterr().out)
     assert 0.0 <= evaluation["metric"] <= 1.0
+
+    # files holding one class read through the model's or the training
+    # file's label map in evaluate, predict --has-target and train --validation
+    binary_names = ("no", "yes")
+    y_bin = (x[:, 0] > 0).astype(int)
+    write_csv(Dataset(x, y_bin, "binary", 2, label_names=binary_names), tmp_path / "bin.csv")
+    bin_model = tmp_path / "bin.json"
+    assert run_cli(["train", "--data", str(tmp_path / "bin.csv"), "--task", "binary",
+                    "--rho", "1.0", "--iterations", "5", "--out", str(bin_model)]) == 0
+    capsys.readouterr()
+    cases = [("multiclass", model, names, y, 0), ("multiclass", model, names, y, 2),
+             ("binary", bin_model, binary_names, y_bin, 1)]
+    for task, path, labels, targets, label in cases:
+        keep = targets == label
+        one = tmp_path / f"one_{task}_{label}.csv"
+        write_csv(Dataset(x[keep], targets[keep], task, len(labels), label_names=labels), one)
+        with open(one, newline="") as fh:
+            assert {row[-1] for row in list(csv.reader(fh))[1:]} == {labels[label]}
+        assert run_cli(["evaluate", "--model", str(path), "--data", str(one)]) == 0
+        evaluation = json.loads(capsys.readouterr().out)
+        ensemble = load(path)
+        scores = boost.predict(ensemble, x[keep])
+        assert evaluation["n"] == keep.sum()
+        assert evaluation["metric"] == metric(task, targets[keep], scores)
+        out = tmp_path / "one_pred.csv"
+        assert run_cli(["predict", "--model", str(path), "--data", str(one),
+                        "--has-target", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == keep.sum() + 1
+        train_csv = tmp_path / ("train.csv" if task == "multiclass" else "bin.csv")
+        assert run_cli(["train", "--data", str(train_csv), "--validation", str(one),
+                        "--task", task, "--rho", "1.0", "--iterations", "5",
+                        "--out", str(tmp_path / "v.json")]) == 0
+        capsys.readouterr()
 
 
 def test_target_column_by_name(tmp_path, capsys):

@@ -8,7 +8,6 @@ from ktboost import (
     Dataset,
     SplitSpec,
     Standardizer,
-    align_labels,
     fit_standardizer,
     identity_standardizer,
     load_csv,
@@ -273,32 +272,40 @@ def test_load_features(tmp_path):
         load_features(tmp_path / "missing.csv")
 
 
-def test_align_labels_recode(tmp_path):
+def test_load_csv_labels_recode(tmp_path):
     ref_path = tmp_path / "ref.csv"
     ref_path.write_text("x,y\n1,a\n2,b\n3,c\n")
     other_path = tmp_path / "other.csv"
     other_path.write_text("x,y\n4,c\n5,b\n")
     ref = load_csv(ref_path, task="multiclass")
-    other = load_csv(other_path, task="multiclass")
     # enumerated alone, "c" would be index 1 in the second file
-    assert np.array_equal(other.targets, [1, 0])
-    aligned = align_labels(ref, other)
+    assert np.array_equal(load_csv(other_path, task="multiclass").targets, [1, 0])
+    aligned = load_csv(other_path, task="multiclass", labels=ref.label_names)
     assert np.array_equal(aligned.targets, [2, 1])
     assert aligned.label_names == ("a", "b", "c")
     assert aligned.n_classes == 3
+    # a file holding a single class of a binary label map
+    one_class = tmp_path / "one.csv"
+    one_class.write_text("x,y\n4,b\n5,b\n")
+    binary = load_csv(one_class, task="binary", labels=("a", "b"))
+    assert np.array_equal(binary.targets, [1, 1])
+    assert (binary.n_classes, binary.label_names) == (2, ("a", "b"))
 
 
-def test_align_labels_missing_label(tmp_path):
-    ref_path = tmp_path / "ref.csv"
-    ref_path.write_text("x,y\n1,a\n2,b\n")
+def test_load_csv_labels_unknown_label(tmp_path):
     other_path = tmp_path / "other.csv"
     other_path.write_text("x,y\n4,a\n5,z\n")
-    ref = load_csv(ref_path, task="binary")
-    other = load_csv(other_path, task="binary")
+    with pytest.raises(DataError, match="'z'"):
+        load_csv(other_path, task="binary", labels=("a", "b"))
     with pytest.raises(DataError):
-        align_labels(ref, other)
+        load_csv(other_path, task="binary", labels=("a", "z", "b"))  # three for binary
+    with pytest.raises(DataError):
+        load_csv(other_path, task="multiclass", labels=("a", "z", "a"))  # repeated
 
 
-def test_align_labels_regression_passthrough():
-    data = _toy_regression()
-    assert align_labels(data, data) is data
+def test_load_csv_labels_refused_for_regression(tmp_path):
+    path = tmp_path / "r.csv"
+    write_csv(_toy_regression(), path)
+    assert load_csv(path).n_classes == 0
+    with pytest.raises(DataError):
+        load_csv(path, labels=("a", "b"))

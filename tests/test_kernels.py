@@ -15,7 +15,6 @@ from ktboost import (
     build_nystrom,
     fit_kernel_gradient,
     fit_kernel_newton,
-    gaussian_kernel,
     identity_standardizer,
     kernel_matrix,
     nystrom_gram,
@@ -24,7 +23,7 @@ from ktboost import (
     select_rho,
 )
 from ktboost.kernels import DECAY01, factorize_spd
-from oracles import oracle_kernel_alpha, oracle_kernel_matrix, oracle_kernel_objective
+from oracles import gaussian_kernel, oracle_kernel_alpha, oracle_kernel_matrix, oracle_kernel_objective
 
 
 def _instance(rng, n=20, p=2, rho=1.0, lam=1.0):

@@ -1,5 +1,7 @@
 """Exact greedy trees against exhaustive enumeration and the per-node argsort grower."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from ktboost import (
     fit_tree,
     gradient_hessian,
     optimal_constant,
-    predict_tree,
     predict_tree_batch,
     presort_features,
     split_backend_name,
@@ -25,9 +26,22 @@ from oracles import (
     assert_same_tree,
     oracle_tree,
     oracle_tree_predict,
+    predict_tree,
     tree_objective,
 )
 from oracles import best_split as one_column_best_split  # the one-column scan, kept verbatim
+
+
+def _fit(x, g, h, max_depth, min_samples_leaf=1):
+    """The tree of fit_tree on a fresh presort of x."""
+    tree, _ = fit_tree(presort_features(x), g, h, max_depth, min_samples_leaf)
+    return tree
+
+
+def _assert_leaf_index(tree, leaf, x):
+    """leaf holds the leaf of each training row that the tree walk reaches."""
+    assert np.all(tree.feature[leaf] == -1)
+    assert tree.value.take(leaf).tobytes() == predict_tree_batch(tree, x).tobytes()
 
 
 def _random_instance(rng):
@@ -48,8 +62,8 @@ def _random_instance(rng):
 
 def test_stump_hand_case():
     # two points, opposite gradients: split halfway, weights -g/h
-    tree = fit_tree(np.array([[1.0], [2.0]]), np.array([-1.0, 1.0]),
-                    np.ones(2), max_depth=1)
+    tree = _fit(np.array([[1.0], [2.0]]), np.array([-1.0, 1.0]),
+                np.ones(2), max_depth=1)
     assert tree.feature.tolist() == [0, -1, -1]
     assert tree.threshold.tolist() == [1.5, 0.0, 0.0]
     assert (tree.left.tolist(), tree.right.tolist()) == ([1, -1, -1], [2, -1, -1])
@@ -69,8 +83,8 @@ def test_split_gain_value():
 
 
 def test_depth_zero_single_leaf():
-    tree = fit_tree(np.arange(6.0).reshape(6, 1), np.arange(6.0),
-                    np.ones(6), max_depth=0)
+    tree = _fit(np.arange(6.0).reshape(6, 1), np.arange(6.0),
+                np.ones(6), max_depth=0)
     assert tree.feature.tolist() == [-1]
     assert tree.depth() == 0
     # leaf weight is -sum(g)/sum(h)
@@ -81,14 +95,14 @@ def test_constant_gradient_never_splits():
     # 0.5 is exactly representable, so every candidate gain is exactly zero
     rng = np.random.default_rng(0)
     x = rng.normal(size=(30, 2))
-    tree = fit_tree(x, np.full(30, 0.5), np.ones(30), max_depth=3)
+    tree = _fit(x, np.full(30, 0.5), np.ones(30), max_depth=3)
     assert tree.n_leaves() == 1
     assert tree.value[0] == -0.5
 
 
 def test_left_rule_is_inclusive():
-    tree = fit_tree(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]),
-                    np.ones(2), max_depth=1)
+    tree = _fit(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]),
+                np.ones(2), max_depth=1)
     thr = tree.threshold[0]
     assert predict_tree(tree, [thr]) == tree.value[tree.left[0]]
     assert predict_tree(tree, [np.nextafter(thr, 1.0)]) == tree.value[tree.right[0]]
@@ -97,7 +111,7 @@ def test_left_rule_is_inclusive():
 def test_adjacent_floats_still_separate():
     lo = np.nextafter(-1.0, -2.0)
     x = np.array([[lo], [-1.0]])
-    tree = fit_tree(x, np.array([-1.0, 1.0]), np.ones(2), max_depth=1)
+    tree = _fit(x, np.array([-1.0, 1.0]), np.ones(2), max_depth=1)
     thr = tree.threshold[0]
     # threshold must sit strictly below the right value
     assert thr < -1.0 and thr >= lo
@@ -109,7 +123,7 @@ def test_tie_prefers_lowest_feature():
     rng = np.random.default_rng(4)
     col = rng.normal(size=25)
     x = np.column_stack([col, col])  # identical columns, identical gains
-    tree = fit_tree(x, rng.normal(size=25), np.ones(25), max_depth=2)
+    tree = _fit(x, rng.normal(size=25), np.ones(25), max_depth=2)
     assert tree.depth() > 0
     assert set(tree.feature.tolist()) == {-1, 0}
 
@@ -117,25 +131,21 @@ def test_tie_prefers_lowest_feature():
 def test_tie_prefers_smallest_threshold():
     # symmetric gains: positions 1 and 3 tie, smallest threshold wins
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
-    tree = fit_tree(x, np.array([1.0, -1.0, -1.0, 1.0]), np.ones(4), max_depth=1)
+    tree = _fit(x, np.array([1.0, -1.0, -1.0, 1.0]), np.ones(4), max_depth=1)
     assert tree.threshold[0] == 0.5
 
 
 def test_min_samples_leaf_respected():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(40, 2))
-    tree = fit_tree(x, rng.normal(size=40), np.ones(40), max_depth=4,
-                    min_samples_leaf=7)
+    tree = _fit(x, rng.normal(size=40), np.ones(40), max_depth=4,
+                min_samples_leaf=7)
     assert tree.depth() > 0
     assert tree.n[tree.feature < 0].min() >= 7
 
 
 def test_validation_errors():
-    x = np.ones((3, 1))
-    with pytest.raises(DataError):
-        fit_tree(np.empty((0, 1)), np.empty(0), np.empty(0), 1)
-    with pytest.raises(DataError):
-        fit_tree(np.ones(3), np.ones(3), np.ones(3), 1)  # 1-D features
+    x = presort_features(np.ones((3, 1)))
     with pytest.raises(DataError):
         fit_tree(x, np.ones(2), np.ones(3), 1)
     with pytest.raises(DataError):
@@ -146,6 +156,19 @@ def test_validation_errors():
         fit_tree(x, np.ones(3), np.ones(3), -1)
     with pytest.raises(DataError):
         fit_tree(x, np.ones(3), np.ones(3), 1, min_samples_leaf=0)
+    with pytest.raises(TypeError):
+        fit_tree(np.ones((3, 1)), np.ones(3), np.ones(3), 1)  # not presorted
+    # non-finite inputs raise instead of giving a NaN leaf (g), a 0.0 leaf
+    # (h) or a NaN threshold (x): g and h on every call, x once per presort
+    x6 = np.arange(6.0).reshape(6, 1)
+    g6 = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    for g, h in (([np.nan, 1, 1, -1, -1, -1], np.ones(6)), (g6, [1, 1, np.nan, 1, 1, 1]),
+                 ([1, 1, 1, -1, -1, -np.inf], np.ones(6)), (g6, [np.inf, 1, 1, 1, 1, 1])):
+        with pytest.raises(DataError):
+            fit_tree(presort_features(x6), g, h, 1)
+    x6[2, 0] = np.nan
+    with pytest.raises(DataError):
+        presort_features(x6)
 
 
 # ------------------------------------------------- exhaustive enumeration
@@ -155,7 +178,7 @@ def test_matches_exhaustive_enumeration():
     rng = np.random.default_rng(7)
     for _ in range(12):
         x, g, h, depth = _random_instance(rng)
-        tree = fit_tree(x, g, h, max_depth=depth)
+        tree = _fit(x, g, h, max_depth=depth)
         ref = oracle_tree(x, g, h, depth)
         assert_same_tree(tree, ref)
         # identical objective value, not just identical shape
@@ -172,7 +195,7 @@ def test_matches_enumeration_with_min_leaf():
     for _ in range(6):
         x, g, h, depth = _random_instance(rng)
         min_leaf = int(rng.integers(2, 5))
-        tree = fit_tree(x, g, h, max_depth=depth, min_samples_leaf=min_leaf)
+        tree = _fit(x, g, h, max_depth=depth, min_samples_leaf=min_leaf)
         assert_same_tree(tree, oracle_tree(x, g, h, depth, min_leaf))
 
 
@@ -181,8 +204,8 @@ def test_monotone_transform_invariance():
     x = rng.normal(size=(60, 3))
     g = rng.normal(size=60)
     h = rng.uniform(0.1, 1.0, 60)
-    tree_a = fit_tree(x, g, h, max_depth=3)
-    tree_b = fit_tree(x**3, g, h, max_depth=3)  # strictly increasing map
+    tree_a = _fit(x, g, h, max_depth=3)
+    tree_b = _fit(x**3, g, h, max_depth=3)  # strictly increasing map
     assert np.allclose(
         predict_tree_batch(tree_a, x), predict_tree_batch(tree_b, x**3)
     )
@@ -198,13 +221,18 @@ def test_backend_name_consistent():
 
 def test_presort_is_stable_int32():
     x = np.array([[2.0, 0.0], [1.0, 0.0], [2.0, -1.0], [1.0, 0.0]])
-    order = presort_features(x)
-    assert order.dtype == np.int32
-    assert order.tolist() == [[1, 3, 0, 2], [2, 0, 1, 3]]
+    sorted_x = presort_features(x)
+    assert sorted_x.order.dtype == np.int32
+    assert sorted_x.order.tolist() == [[1, 3, 0, 2], [2, 0, 1, 3]]
+    # feature j of row r sits at column_start[j] + r
+    assert sorted_x.column_start.dtype == np.intp
+    for j in range(2):
+        for r in range(4):
+            assert sorted_x.xflat[sorted_x.column_start[j] + r] == x[r, j]
     # long tie-heavy columns, where an unstable sort would reorder ties
     x = np.random.default_rng(19).integers(0, 3, size=(500, 4)).astype(np.float64)
     rows = np.arange(500)
-    for j, col in enumerate(presort_features(x)):
+    for j, col in enumerate(presort_features(x).order):
         assert np.array_equal(col, np.lexsort((rows, x[:, j])))
 
 
@@ -225,10 +253,9 @@ def test_matches_argsort_grower():
             h[0] = 1.0
         depth = int(rng.integers(0, 6))
         min_leaf = 1 + trial % 3
-        assert_same_tree(
-            fit_tree(x, g, h, depth, min_leaf),
-            argsort_tree(x, g, h, depth, min_leaf),
-        )
+        tree, leaf = fit_tree(presort_features(x), g, h, depth, min_leaf)
+        assert_same_tree(tree, argsort_tree(x, g, h, depth, min_leaf))
+        _assert_leaf_index(tree, leaf, x)
 
 
 def test_multiclass_round_shares_one_presort():
@@ -242,11 +269,13 @@ def test_multiclass_round_shares_one_presort():
     loss = for_task("multiclass", 3)
     scores = np.tile(optimal_constant(loss, y), (80, 1))
     gh = gradient_hessian(loss, y, scores, newton=True)
-    order = presort_features(xs)
+    sorted_x = presort_features(xs)
     for k, tree in enumerate(ens.iterations[0].learners):
         ref = argsort_tree(xs, gh.g[:, k], gh.h[:, k], 3, 2)
         assert_same_tree(tree, ref)
-        assert_same_tree(fit_tree(xs, gh.g[:, k], gh.h[:, k], 3, 2, order), ref)
+        shared, leaf = fit_tree(sorted_x, gh.g[:, k], gh.h[:, k], 3, 2)
+        assert_same_tree(shared, ref)
+        _assert_leaf_index(shared, leaf, xs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -261,21 +290,22 @@ def test_matches_argsort_grower_generated(data):
     h[data.draw(st.integers(0, n - 1))] = 1.0
     depth = data.draw(st.integers(0, 4))
     min_leaf = data.draw(st.integers(1, 3))
-    assert_same_tree(
-        fit_tree(x, g, h, depth, min_leaf),
-        argsort_tree(x, g, h, depth, min_leaf),
-    )
+    tree, leaf = fit_tree(presort_features(x), g, h, depth, min_leaf)
+    assert_same_tree(tree, argsort_tree(x, g, h, depth, min_leaf))
+    _assert_leaf_index(tree, leaf, x)
 
 
-def test_order_validation():
-    rng = np.random.default_rng(18)
-    x = rng.normal(size=(6, 2))
-    g, h = rng.normal(size=6), np.ones(6)
-    order = presort_features(x)
-    assert_same_tree(fit_tree(x, g, h, 2, order=order), fit_tree(x, g, h, 2))
-    for bad in (order.T, order[:, :5], order[0], order.astype(np.float64), order > 2):
+def test_presort_validation():
+    bad_features = (np.empty((0, 2)), np.empty((3, 0)), np.ones(3), np.ones((2, 2, 2)),
+                    [[0.0, np.inf], [1.0, 2.0]], [[-np.inf, 0.0]], [[np.nan]])
+    for bad in bad_features:
         with pytest.raises(DataError):
-            fit_tree(x, g, h, 2, order=bad)
+            presort_features(bad)
+    sorted_x = presort_features(np.random.default_rng(18).normal(size=(6, 2)))
+    for a in (sorted_x.xflat, sorted_x.order, sorted_x.column_start):
+        assert not a.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sorted_x.order = sorted_x.order[:, ::-1]
 
 
 # ------------------------------------------------- the all-column scan
@@ -389,8 +419,9 @@ def test_chunked_scan_matches_argsort_grower(monkeypatch, budget):
         h = rng.uniform(0.0, 2.0, n) if trial % 4 == 1 else np.ones(n)
         depth = int(rng.integers(1, 5))
         min_leaf = 1 + trial % 3
-        tree = fit_tree(x, g, h, depth, min_leaf)
+        tree, leaf = fit_tree(presort_features(x), g, h, depth, min_leaf)
         assert_same_tree(tree, argsort_tree(x, g, h, depth, min_leaf))
+        _assert_leaf_index(tree, leaf, x)
         # copies of a column never win over the lowest index
         assert set(tree.feature[tree.feature >= 0].tolist()) <= {0, 1, 2}
 
@@ -424,7 +455,7 @@ def test_scan_sees_every_column_row_of_every_scanned_node(monkeypatch, budget):
     g = rng.normal(size=400) + (x[:, 0] > 0.3)
     for depth, min_leaf in ((0, 1), (1, 1), (4, 3), (7, 20)):
         seen.clear()
-        tree = fit_tree(x, g, np.ones(400), depth, min_leaf)
+        tree = _fit(x, g, np.ones(400), depth, min_leaf)
         assert sum(seen) == _scanned_rows(tree, 6, depth, min_leaf)
         assert (sum(seen) > 0) == (depth > 0)
 
@@ -435,7 +466,7 @@ def test_scan_sees_every_column_row_of_every_scanned_node(monkeypatch, budget):
 def test_batch_prediction_matches_scalar():
     rng = np.random.default_rng(14)
     x = rng.normal(size=(50, 3))
-    tree = fit_tree(x, rng.normal(size=50), np.ones(50), max_depth=4)
+    tree = _fit(x, rng.normal(size=50), np.ones(50), max_depth=4)
     grid = rng.normal(size=(200, 3))
     batch = predict_tree_batch(tree, grid)
     scalar = np.array([predict_tree(tree, row) for row in grid])
@@ -447,7 +478,7 @@ def test_deep_tree_fits_training_data():
     rng = np.random.default_rng(15)
     x = rng.permutation(np.arange(16.0)).reshape(16, 1)
     g = rng.normal(size=16)
-    tree = fit_tree(x, g, np.ones(16), max_depth=16)
+    tree = _fit(x, g, np.ones(16), max_depth=16)
     assert np.allclose(predict_tree_batch(tree, x), -g, atol=1e-12)
 
 
