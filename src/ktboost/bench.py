@@ -31,6 +31,10 @@ from .errors import DataError, NumericalError
 
 METHODS = ("ktboost", "tree", "kernel")
 
+# BoostConfig's defaults as the base of the tuning grid. The tree learner is
+# the one that validates without a bandwidth; the grid supplies bandwidths.
+GRID_BASE = BoostConfig(learner="tree")
+
 
 # ---------------------------------------------------------------------------
 # simulation generator
@@ -359,54 +363,26 @@ class GridSpec:
             raise DataError("empty bandwidth grid after filtering")
         return options
 
-    def configurations(self, method: str, n_rows: int, **common) -> list[BoostConfig]:
-        """Applicable configurations in canonical order (nu, depth, lambda, rho)."""
-        nystrom = common.get("nystrom")
-        rho_rows = min(nystrom, n_rows) if nystrom is not None else n_rows
-        configs = []
-        if method == "tree":
-            for nu, depth in product(self.nus, self.depths):
-                configs.append(
-                    BoostConfig(
-                        iterations=self.max_iterations,
-                        nu=nu,
-                        learner="tree",
-                        max_depth=depth,
-                        **common,
-                    )
-                )
-        elif method == "kernel":
-            for nu, lam, (mode, k) in product(self.nus, self.lambdas, self.rho_options(rho_rows)):
-                configs.append(
-                    BoostConfig(
-                        iterations=self.max_iterations,
-                        nu=nu,
-                        learner="kernel",
-                        rho_mode=mode,
-                        rho_knn=k if k is not None else 1,
-                        lam=lam,
-                        **common,
-                    )
-                )
-        elif method == "ktboost":
-            for nu, depth, lam, (mode, k) in product(
-                self.nus, self.depths, self.lambdas, self.rho_options(rho_rows)
-            ):
-                configs.append(
-                    BoostConfig(
-                        iterations=self.max_iterations,
-                        nu=nu,
-                        learner="ktboost",
-                        max_depth=depth,
-                        rho_mode=mode,
-                        rho_knn=k if k is not None else 1,
-                        lam=lam,
-                        **common,
-                    )
-                )
-        else:
+    def configurations(self, base: BoostConfig, method: str, n_rows: int) -> list[BoostConfig]:
+        """Applicable configurations in canonical order (nu, depth, lambda, rho).
+
+        Each is ``base`` with the axes the method uses replaced; the kernel
+        methods' bandwidth always comes from the grid, never from ``base``.
+        """
+        if method not in METHODS:
             raise DataError(f"unknown method {method!r}")
-        return configs
+        depths = (base.max_depth,) if method == "kernel" else self.depths
+        if method == "tree":
+            lambdas, rhos = (base.lam,), [(base.rho, base.rho_mode, base.rho_knn)]
+        else:
+            rho_rows = min(base.nystrom, n_rows) if base.nystrom is not None else n_rows
+            lambdas = self.lambdas
+            rhos = [(None, mode, 1 if k is None else k) for mode, k in self.rho_options(rho_rows)]
+        return [
+            dataclasses.replace(base, iterations=self.max_iterations, nu=nu, learner=method,
+                                max_depth=depth, lam=lam, rho=rho, rho_mode=mode, rho_knn=k)
+            for nu, depth, lam, (rho, mode, k) in product(self.nus, depths, lambdas, rhos)
+        ]
 
 
 @dataclass
@@ -430,15 +406,15 @@ def grid_search(
     validation: Dataset,
     grid: GridSpec,
     method: str = "ktboost",
-    **common,
+    base: BoostConfig = GRID_BASE,
 ) -> GridSearchResult:
-    """Exhaustive sweep; failures skip that configuration.
+    """Exhaustive sweep over ``grid`` around ``base``; failures skip that configuration.
 
     Each configuration is fitted once; its iteration count is the argmin of
     the validation risk trace. Configurations are compared by validation
     metric at their chosen iteration; ties keep the earlier configuration.
     """
-    configs = grid.configurations(method, train.n_samples, **common)
+    configs = grid.configurations(base, method, train.n_samples)
     entries: list[GridEntry] = []
     best: GridSearchResult | None = None
     for cfg in configs:
@@ -461,6 +437,18 @@ def grid_search(
 
 
 # ---------------------------------------------------------------------------
+# worker processes
+
+
+def _run_jobs(job, payloads, jobs: int) -> list:
+    """``job`` over ``payloads`` in order, in ``jobs`` worker processes if jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(job, payloads))
+    return [job(p) for p in payloads]
+
+
+# ---------------------------------------------------------------------------
 # simulation study (multi-replication)
 
 
@@ -472,10 +460,8 @@ class SimStudyResult:
     test_mse: dict
     validation_mse: dict
     best_iterations: dict
-    iteration_seconds: dict
     replications: int
-    n: int
-    master_seed: int
+    config: BoostConfig
 
     def region_mean(self, method: str, lo: float, hi: float) -> float:
         """Mean pointwise MSE over grid points with lo <= x <= hi."""
@@ -483,22 +469,19 @@ class SimStudyResult:
         return float(np.mean(self.pointwise[method][mask]))
 
     def pointwise_rows(self):
-        rows = []
-        for method in self.methods:
-            for x, v in zip(self.grid, self.pointwise[method]):
-                rows.append((x, method, v, -1))
-        return rows
+        return [(x, m, v, -1) for m in self.methods for x, v in zip(self.grid, self.pointwise[m])]
 
-    def manifest_rows(self, config_fields: dict):
+    def manifest_rows(self):
         rows = []
         for method in self.methods:
+            config = dataclasses.asdict(dataclasses.replace(self.config, learner=method))
             for r in range(self.replications):
                 rows.append(
                     {
                         "dataset": "sim-jumps",
                         "method": method,
                         "split_seed": r,
-                        "config": dict(config_fields, learner=method),
+                        "config": config,
                         "validation_metric": float(self.validation_mse[method][r]),
                         "test_metric": float(self.test_mse[method][r]),
                         "best_iteration": int(self.best_iterations[method][r]),
@@ -508,7 +491,7 @@ class SimStudyResult:
 
 
 def _simulation_job(payload):
-    r, seedseq, n, methods, kwargs, grid = payload
+    seedseq, n, methods, config, grid = payload
     s_sim, s_train, s_val, s_test = seedseq.spawn(4)
     sim = SimFunction.from_seed(s_sim)
     train = simulate(sim, n, s_train)
@@ -518,7 +501,7 @@ def _simulation_job(payload):
     nystrom_seed = int(seedseq.generate_state(1)[0])
     out = {}
     for method in methods:
-        cfg = BoostConfig(learner=method, standardize=False, seed=nystrom_seed, **kwargs)
+        cfg = dataclasses.replace(config, learner=method, seed=nystrom_seed)
         ensemble, report = fit(train, cfg, validation=val)
         best = report.best_iteration
         grid_pred = predict(ensemble, grid[:, None], truncate_at=best)[:, 0]
@@ -529,76 +512,49 @@ def _simulation_job(payload):
             "val_mse": metric("regression", val.targets, val_scores),
             "sq_err": (grid_pred - truth) ** 2,
             "best": best,
-            "sec": float(np.mean(report.seconds)),
         }
     return out
 
 
 def run_simulation_study(
+    config: BoostConfig,
     methods=METHODS,
     replications: int = 100,
     n: int = 1000,
-    iterations: int = 1000,
-    nu: float = 0.1,
-    max_depth: int = 1,
-    min_samples_leaf: int = 1,
-    rho: float = 0.1,
-    lam: float = 1.0,
-    nystrom: int | None = None,
-    newton: bool = False,
-    selection: str = "damped",
-    early_stopping_rounds: int | None = None,
     master_seed: int = 0,
     grid=None,
     jobs: int = 1,
 ) -> SimStudyResult:
     """Repeated draws of the jump simulation, one model per method per draw.
 
-    Data are left unstandardized: the bandwidth is stated on the raw unit
-    interval. Gradient mode is the default because the squared loss has
-    unit Hessians, making Newton and gradient updates identical while the
-    gradient path reuses one cached factorization across iterations.
+    Each replication draws a target and training, validation and test sets
+    of ``n`` rows from ``master_seed``, and fits ``config`` once per method
+    with the method as learner and the replication's own Nystrom seed. The
+    paper's settings are n=1000 and ``BoostConfig(iterations=1000, nu=0.1,
+    newton=False, max_depth=1, rho=0.1, lam=1.0)``. Data are left
+    unstandardized, whatever ``config`` says: the bandwidth is stated on
+    the raw unit interval. Gradient mode suits the squared loss, whose unit
+    Hessians make Newton and gradient updates identical while the gradient
+    path reuses one cached factorization across iterations.
     """
+    if replications < 1:
+        raise DataError("need at least one replication")
     if grid is None:
         grid = np.linspace(0.0, 1.0, 501)
     grid = np.asarray(grid, dtype=np.float64)
-    kwargs = dict(
-        iterations=iterations,
-        nu=nu,
-        newton=newton,
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-        rho=rho,
-        lam=lam,
-        nystrom=nystrom,
-        selection=selection,
-        early_stopping_rounds=early_stopping_rounds,
-    )
+    config = dataclasses.replace(config, standardize=False)
     children = np.random.SeedSequence(master_seed).spawn(replications)
-    payloads = [(r, children[r], n, tuple(methods), kwargs, grid) for r in range(replications)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(_simulation_job, payloads))
-    else:
-        outputs = [_simulation_job(p) for p in payloads]
+    payloads = [(child, n, tuple(methods), config, grid) for child in children]
+    outputs = _run_jobs(_simulation_job, payloads, jobs)
 
-    pointwise = {m: np.zeros(grid.size) for m in methods}
-    test_mse = {m: np.empty(replications) for m in methods}
-    val_mse = {m: np.empty(replications) for m in methods}
-    bests = {m: [] for m in methods}
-    secs = {m: [] for m in methods}
-    for r, out in enumerate(outputs):
-        for m in methods:
-            pointwise[m] += out[m]["sq_err"]
-            test_mse[m][r] = out[m]["test_mse"]
-            val_mse[m][r] = out[m]["val_mse"]
-            bests[m].append(out[m]["best"])
-            secs[m].append(out[m]["sec"])
-    for m in methods:
-        pointwise[m] /= replications
-    return SimStudyResult(
-        list(methods), grid, pointwise, test_mse, val_mse, bests, secs, replications, n, master_seed
-    )
+    def collect(key):
+        return {m: [out[m][key] for out in outputs] for m in methods}
+
+    pointwise = {m: sum(errs) / replications for m, errs in collect("sq_err").items()}
+    test_mse = {m: np.array(v) for m, v in collect("test_mse").items()}
+    val_mse = {m: np.array(v) for m, v in collect("val_mse").items()}
+    return SimStudyResult(list(methods), grid, pointwise, test_mse, val_mse, collect("best"),
+                          replications, config)
 
 
 # ---------------------------------------------------------------------------
@@ -606,11 +562,11 @@ def run_simulation_study(
 
 
 def _split_job(payload):
-    s, dataset, methods, grid, master_seed, common = payload
+    s, dataset, methods, grid, master_seed, base = payload
     train, val, test = split(dataset, SplitSpec(seed=master_seed + s))
     rows = []
     for method in methods:
-        result = grid_search(train, val, grid, method=method, **common)
+        result = grid_search(train, val, grid, method=method, base=base)
         scores = predict(result.ensemble, test.features)
         rows.append(
             {
@@ -632,25 +588,19 @@ def run_split_benchmark(
     grid: GridSpec | None = None,
     master_seed: int = 0,
     jobs: int = 1,
-    **common,
+    base: BoostConfig = GRID_BASE,
 ) -> list[dict]:
     """Grid-search every method on repeated train/validation/test splits.
 
-    Returns manifest rows {dataset, method, split_seed, config,
-    validation_metric, test_metric}, one per (split, method).
+    ``base`` holds every setting the grid does not vary. Returns manifest
+    rows {dataset, method, split_seed, config, validation_metric,
+    test_metric}, one per (split, method).
     """
+    if splits < 1:
+        raise DataError("need at least one split")
     grid = grid or GridSpec()
-    payloads = [(s, dataset, tuple(methods), grid, master_seed, common) for s in range(splits)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(_split_job, payloads))
-    else:
-        outputs = [_split_job(p) for p in payloads]
-    rows = []
-    for out in outputs:
-        for row in out:
-            rows.append(dict(row, dataset=name))
-    return rows
+    payloads = [(s, dataset, tuple(methods), grid, master_seed, base) for s in range(splits)]
+    return [dict(row, dataset=name) for out in _run_jobs(_split_job, payloads, jobs) for row in out]
 
 
 def rows_to_results(rows) -> dict:

@@ -593,6 +593,8 @@ def loads(text: str) -> Ensemble:
         n_classes = {"regression": 0, "binary": 2}.get(task, f0.shape[0])
         if label_names is not None and len(label_names) != n_classes:
             raise ModelFormatError("label_map length disagrees with the class count")
+        if label_names is not None and len(set(label_names)) != n_classes:
+            raise ModelFormatError("label_map repeats a label")
         expected = for_task(task, n_classes).kind if task != "regression" else "squared"
         if doc["loss"] != expected:
             raise ModelFormatError(f"loss {doc['loss']!r} does not fit task {task!r}")

@@ -93,24 +93,30 @@ def _boost_config(args, parser: argparse.ArgumentParser) -> BoostConfig:
         rho_knn = args.rho_knn
     elif args.rho_slow:
         rho_mode = "slow"
+    return _config(
+        parser,
+        iterations=args.iterations,
+        nu=args.nu,
+        newton=args.newton,
+        learner=args.learner,
+        max_depth=args.max_depth,
+        min_samples_leaf=args.min_leaf,
+        rho=args.rho,
+        rho_mode=rho_mode,
+        rho_knn=rho_knn,
+        lam=args.lam,
+        nystrom=args.nystrom,
+        seed=args.seed,
+        selection=args.selection,
+        standardize=not args.no_standardize,
+        early_stopping_rounds=args.early_stopping,
+    )
+
+
+def _config(parser: argparse.ArgumentParser, **fields) -> BoostConfig:
+    """BoostConfig(**fields), with an invalid setting reported as a usage error."""
     try:
-        return BoostConfig(
-            iterations=args.iterations,
-            nu=args.nu,
-            newton=args.newton,
-            learner=args.learner,
-            max_depth=args.max_depth,
-            min_samples_leaf=args.min_leaf,
-            rho=args.rho,
-            rho_mode=rho_mode,
-            rho_knn=rho_knn,
-            lam=args.lam,
-            nystrom=args.nystrom,
-            seed=args.seed,
-            selection=args.selection,
-            standardize=not args.no_standardize,
-            early_stopping_rounds=args.early_stopping,
-        )
+        return BoostConfig(**fields)
     except DataError as exc:
         parser.error(str(exc))
 
@@ -214,10 +220,18 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _label_names(ensemble) -> tuple[str, ...] | None:
+    """A classifier's class names: its label map, else "0".."d-1" as write_csv writes them."""
+    if ensemble.task == "regression":
+        return None
+    n_classes = 2 if ensemble.task == "binary" else ensemble.n_outputs
+    return ensemble.label_names or tuple(str(k) for k in range(n_classes))
+
+
 def cmd_predict(args) -> int:
     ensemble = load(args.model)
     if args.has_target:
-        features = load_csv(args.data, task=ensemble.task, labels=ensemble.label_names).features
+        features = load_csv(args.data, task=ensemble.task, labels=_label_names(ensemble)).features
     else:
         features, _ = load_features(args.data)
     scores = predict(ensemble, features)
@@ -229,7 +243,7 @@ def cmd_predict(args) -> int:
                 writer.writerow([repr(float(v))])
         else:
             proba = proba_from_scores(ensemble.task, scores)
-            names = ensemble.label_names or tuple(str(k) for k in range(proba.shape[1]))
+            names = _label_names(ensemble)
             writer.writerow([f"prob_{n}" for n in names] + ["label"])
             labels = np.argmax(proba, axis=1)
             for i in range(proba.shape[0]):
@@ -241,7 +255,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ensemble = load(args.model)
-    data = load_csv(args.data, task=ensemble.task, labels=ensemble.label_names)
+    data = load_csv(args.data, task=ensemble.task, labels=_label_names(ensemble))
     scores = predict(ensemble, data.features)
     loss = for_task(ensemble.task, ensemble.n_outputs if ensemble.task == "multiclass" else 0)
     out = {
@@ -281,28 +295,14 @@ def cmd_benchmark(args) -> int:
         if args.rho is None:
             args.parser.error("--sim mode needs an explicit --rho")
         study = run_simulation_study(
+            _boost_config(args, args.parser),
             methods=methods,
             replications=args.replications,
             n=args.n,
-            iterations=args.iterations,
-            nu=args.nu,
-            max_depth=args.max_depth,
-            min_samples_leaf=args.min_leaf,
-            rho=args.rho,
-            lam=args.lam,
-            nystrom=args.nystrom,
-            newton=args.newton,
-            selection=args.selection,
-            early_stopping_rounds=args.early_stopping,
             master_seed=args.seed,
             jobs=args.jobs,
         )
-        config_fields = {
-            "iterations": args.iterations, "nu": args.nu, "max_depth": args.max_depth,
-            "rho": args.rho, "lambda": args.lam, "nystrom": args.nystrom,
-            "newton": args.newton, "selection": args.selection, "seed": args.seed,
-        }
-        rows = study.manifest_rows(config_fields)
+        rows = study.manifest_rows()
         results = {"sim-jumps": {m: study.test_mse[m].tolist() for m in methods}}
         emit_traces(study.pointwise_rows(), os.path.join(args.out, "pointwise.csv"), x_label="x")
         summary = {
@@ -313,6 +313,19 @@ def cmd_benchmark(args) -> int:
     else:
         if args.task is None:
             args.parser.error("--data mode needs --task")
+        # The grid tunes nu, depth, lambda and the bandwidth; these flags set
+        # the rest. The tree learner validates without a bandwidth.
+        base = _config(
+            args.parser,
+            learner="tree",
+            newton=args.newton,
+            min_samples_leaf=args.min_leaf,
+            nystrom=args.nystrom,
+            seed=args.seed,
+            selection=args.selection,
+            standardize=not args.no_standardize,
+            early_stopping_rounds=args.early_stopping,
+        )
         dataset = load_csv(args.data, task=args.task)
         grid = GridSpec(max_iterations=args.iterations)
         if args.fix_nu is not None:
@@ -325,12 +338,7 @@ def cmd_benchmark(args) -> int:
             grid=grid,
             master_seed=args.seed,
             jobs=args.jobs,
-            newton=args.newton,
-            seed=args.seed,
-            nystrom=args.nystrom,
-            min_samples_leaf=args.min_leaf,
-            standardize=not args.no_standardize,
-            early_stopping_rounds=args.early_stopping,
+            base=base,
         )
         results = rows_to_results(rows)
         summary = {

@@ -148,16 +148,6 @@ class Standardizer:
     def inverse_transform(self, standardized: np.ndarray) -> np.ndarray:
         return np.asarray(standardized, dtype=np.float64) * self.scales + self.means
 
-    def apply(self, data: Dataset) -> Dataset:
-        return Dataset(
-            self.transform(data.features),
-            data.targets,
-            data.task,
-            data.n_classes,
-            data.feature_names,
-            data.label_names,
-        )
-
 
 def identity_standardizer(n_features: int) -> Standardizer:
     return Standardizer(np.zeros(n_features), np.ones(n_features))
@@ -224,6 +214,30 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     return value
 
 
+def _read_csv(path, header: bool) -> tuple[tuple[str, ...] | None, list[list[str]]]:
+    """The stripped header names, if any, and the data rows, all of one width."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    names = None
+    if header:
+        names = tuple(c.strip() for c in rows[0])
+        rows = rows[1:]
+        if not rows:
+            raise DataError(f"{path}: no data rows")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DataError(f"{path}: row {i} has {len(row)} columns, expected {width}")
+    return names, rows
+
+
 def load_csv(
     path,
     target_column: str | int = -1,
@@ -248,28 +262,10 @@ def load_csv(
             raise DataError("regression targets take no label map")
         if len(set(labels)) != len(labels):
             raise DataError("the label map repeats a label")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty file")
-
-    names: list[str] | None = None
-    if header:
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise DataError(f"{path}: no data rows")
+    names, rows = _read_csv(path, header)
     width = len(rows[0])
     if width < 2:
         raise DataError(f"{path}: need at least two columns")
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: row {i} has {len(row)} columns, expected {width}")
 
     if isinstance(target_column, str):
         if names is None:
@@ -352,28 +348,12 @@ def load_features(path, header: bool = True) -> tuple[np.ndarray, tuple[str, ...
     Returns the matrix and the header names, if any. Cells follow the same
     rules as load_csv: missing or non-numeric values are rejected.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    names = None
-    if header:
-        names = tuple(c.strip() for c in rows[0])
-        rows = rows[1:]
-        if not rows:
-            raise DataError(f"{path}: no data rows")
+    names, rows = _read_csv(path, header)
     width = len(rows[0])
     if width < 1:
         raise DataError(f"{path}: no columns")
     features = np.empty((len(rows), width))
     for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: row {i} has {len(row)} columns, expected {width}")
         for j, cell in enumerate(row):
             features[i, j] = _parse_cell(cell, i, j)
     return features, names

@@ -207,9 +207,9 @@ def test_4_simulation_study_regional_and_overall_ordering():
     better single-learner mean test MSE and strictly below both in at
     least 70 replications.
     """
-    res = run_simulation_study(replications=100, n=1000, iterations=1000,
-                               nu=0.1, max_depth=1, rho=0.1, lam=1.0,
-                               newton=False, master_seed=0)
+    config = BoostConfig(iterations=1000, nu=0.1, newton=False, max_depth=1,
+                         rho=0.1, lam=1.0)
+    res = run_simulation_study(config, replications=100, n=1000, master_seed=0)
     lo_tree = res.region_mean("tree", 0.0, 0.5)
     lo_kernel = res.region_mean("kernel", 0.0, 0.5)
     hi_tree = res.region_mean("tree", 0.6, 1.0)
@@ -264,7 +264,7 @@ def test_5_wine_benchmark_reproduction_target():
     data = _load_wine(path)
     rows = run_split_benchmark(data, "wine", splits=10,
                                grid=GridSpec(nus=(0.1,)), master_seed=0,
-                               newton=False)
+                               base=BoostConfig(learner="tree", newton=False))
     means = {}
     for method in ("ktboost", "tree", "kernel"):
         vals = [r["test_metric"] for r in rows if r["method"] == method]
@@ -417,10 +417,10 @@ def test_9_determinism_and_persistence(tmp_path):
 
     manifests = []
     for _ in range(2):
-        res = run_simulation_study(replications=2, n=60, iterations=6, nu=0.1,
-                                   max_depth=1, rho=0.1, lam=1.0, newton=False,
-                                   master_seed=5)
-        manifests.append(json.dumps(res.manifest_rows({"nu": 0.1}), sort_keys=True))
+        sim_config = BoostConfig(iterations=6, nu=0.1, newton=False, max_depth=1,
+                                 rho=0.1, lam=1.0)
+        res = run_simulation_study(sim_config, replications=2, n=60, master_seed=5)
+        manifests.append(json.dumps(res.manifest_rows(), sort_keys=True))
     ok_manifest = manifests[0] == manifests[1]
 
     ens, _ = fit(train, config)

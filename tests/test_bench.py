@@ -1,6 +1,7 @@
 """Simulation generator, metrics, rank statistics, and the tuning sweeps."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -36,7 +37,7 @@ from ktboost import (
     sign_test_p,
     simulate,
 )
-from ktboost.bench import comparison_csv, fit_report_rows, rows_to_results
+from ktboost.bench import GRID_BASE, comparison_csv, fit_report_rows, rows_to_results
 from ktboost.boost import Ensemble
 
 
@@ -356,20 +357,26 @@ def test_grid_spec_rho_options():
 def test_grid_spec_configuration_counts_and_order():
     grid = GridSpec(nus=(0.5, 0.1), depths=(1, 2), lambdas=(1.0,),
                     neighbor_counts=(5,), include_slow=True, max_iterations=7)
-    trees = grid.configurations("tree", 100)
+    trees = grid.configurations(GRID_BASE, "tree", 100)
     assert len(trees) == 4  # nus x depths
     assert all(c.learner == "tree" and c.iterations == 7 for c in trees)
     assert (trees[0].nu, trees[0].max_depth) == (0.5, 1)
-    kernels = grid.configurations("kernel", 100)
+    kernels = grid.configurations(GRID_BASE, "kernel", 100)
     assert len(kernels) == 2 * 1 * 3  # nus x lambdas x rho options
     assert kernels[0].rho_mode == "decay01" and kernels[0].rho_knn == 5
     assert kernels[2].rho_mode == "slow"
-    both = grid.configurations("ktboost", 100)
+    both = grid.configurations(GRID_BASE, "ktboost", 100)
     assert len(both) == 2 * 2 * 1 * 3
     # canonical order: nu varies slowest
     assert both[0].nu == 0.5 and both[-1].nu == 0.1
     with pytest.raises(DataError):
-        grid.configurations("stacking", 100)
+        grid.configurations(GRID_BASE, "stacking", 100)
+    # the base sets what the grid does not vary; kernel bandwidths come from the grid
+    base = BoostConfig(rho=0.3, selection="undamped", min_samples_leaf=2)
+    for method in ("tree", "kernel", "ktboost"):
+        for c in grid.configurations(base, method, 100):
+            assert (c.selection, c.min_samples_leaf) == ("undamped", 2)
+            assert c.rho == (0.3 if method == "tree" else None)
 
 
 def _step_data(n, seed):
@@ -383,7 +390,8 @@ def test_grid_search_selects_winning_configuration():
     train = _step_data(80, 4)
     val = _step_data(40, 5)
     grid = GridSpec(nus=(1.0, 0.001), depths=(1,), max_iterations=10)
-    result = grid_search(train, val, grid, method="tree", standardize=False)
+    result = grid_search(train, val, grid, method="tree",
+                         base=BoostConfig(learner="tree", standardize=False))
     # the undamped stump nails the step; tiny shrinkage cannot
     assert result.config.nu == 1.0
     assert result.validation_metric < 1e-20
@@ -400,7 +408,8 @@ def test_grid_search_refit_reproduces_choice():
     train = _step_data(60, 6)
     val = _step_data(30, 7)
     grid = GridSpec(nus=(0.5,), depths=(1, 3), max_iterations=8)
-    result = grid_search(train, val, grid, method="tree", standardize=False)
+    result = grid_search(train, val, grid, method="tree",
+                         base=BoostConfig(learner="tree", standardize=False))
     refit_ens, _ = fit(train, result.config)
     from ktboost import predict
 
@@ -428,9 +437,11 @@ def test_grid_search_records_failures_and_total_failure_raises():
     grid = GridSpec(nus=(0.5,), depths=(1,), max_iterations=3)
     # nystrom larger than the row count fails inside fit for every config
     with pytest.raises(NumericalError):
-        grid_search(train, val, grid, method="kernel", nystrom=1000)
+        grid_search(train, val, grid, method="kernel",
+                    base=BoostConfig(learner="tree", nystrom=1000))
     # mixing one bad axis value: failures are recorded, the rest proceed
-    result = grid_search(train, val, grid, method="tree", standardize=False)
+    result = grid_search(train, val, grid, method="tree",
+                         base=BoostConfig(learner="tree", standardize=False))
     assert all(e.error is None for e in result.entries)
 
 
@@ -439,9 +450,9 @@ def test_grid_search_records_failures_and_total_failure_raises():
 
 def test_run_simulation_study_shapes_and_determinism():
     grid = np.linspace(0.0, 1.0, 21)
-    kwargs = dict(replications=3, n=40, iterations=5, rho=0.1, lam=1.0,
-                  master_seed=11, grid=grid)
-    study = run_simulation_study(**kwargs)
+    config = BoostConfig(iterations=5, newton=False, max_depth=1, rho=0.1, lam=1.0)
+    kwargs = dict(replications=3, n=40, master_seed=11, grid=grid)
+    study = run_simulation_study(config, **kwargs)
     assert study.methods == ["ktboost", "tree", "kernel"]
     for m in study.methods:
         assert study.pointwise[m].shape == (21,)
@@ -449,7 +460,7 @@ def test_run_simulation_study_shapes_and_determinism():
         assert np.all(np.isfinite(study.test_mse[m]))
         assert len(study.best_iterations[m]) == 3
     # byte-for-byte repeatability
-    again = run_simulation_study(**kwargs)
+    again = run_simulation_study(config, **kwargs)
     for m in study.methods:
         assert np.array_equal(study.test_mse[m], again.test_mse[m])
         assert np.array_equal(study.pointwise[m], again.pointwise[m])
@@ -461,18 +472,21 @@ def test_run_simulation_study_shapes_and_determinism():
     rows = study.pointwise_rows()
     assert len(rows) == 3 * 21
     assert rows[0][3] == -1
-    manifest = study.manifest_rows({"nu": 0.1})
+    manifest = study.manifest_rows()
     assert len(manifest) == 9
     assert manifest[0]["dataset"] == "sim-jumps"
-    assert manifest[0]["config"]["learner"] == "ktboost"
+    # each row records the fitted config, unstandardized, with its method
+    for row in manifest:
+        expected = dataclasses.replace(config, learner=row["method"], standardize=False)
+        assert row["config"] == dataclasses.asdict(expected)
 
 
 def test_run_simulation_study_parallel_matches_serial():
     grid = np.linspace(0.0, 1.0, 11)
-    kwargs = dict(methods=("tree",), replications=2, n=30, iterations=4,
-                  rho=0.1, master_seed=12, grid=grid)
-    serial = run_simulation_study(jobs=1, **kwargs)
-    parallel = run_simulation_study(jobs=2, **kwargs)
+    config = BoostConfig(iterations=4, newton=False, max_depth=1, rho=0.1)
+    kwargs = dict(methods=("tree",), replications=2, n=30, master_seed=12, grid=grid)
+    serial = run_simulation_study(config, jobs=1, **kwargs)
+    parallel = run_simulation_study(config, jobs=2, **kwargs)
     assert np.array_equal(serial.test_mse["tree"], parallel.test_mse["tree"])
     assert np.array_equal(serial.pointwise["tree"], parallel.pointwise["tree"])
 

@@ -869,6 +869,13 @@ def test_load_rejects_wrong_loss_for_task():
     text = dumps(ens)
     with pytest.raises(ModelFormatError):
         loads(text.replace('"loss":"logistic"', '"loss":"squared"'))
+    # a label map must name each class once
+    named = dumps(fit(Dataset(data.features, data.targets, "binary", label_names=("a", "b")),
+                      BoostConfig(iterations=2, rho=1.0))[0])
+    assert loads(named).label_names == ("a", "b")
+    for label_map, message in (('["a","a"]', "repeats"), ('["a"]', "class count")):
+        with pytest.raises(ModelFormatError, match=message):
+            loads(named.replace('"label_map":["a","b"]', f'"label_map":{label_map}'))
 
 
 def test_ensemble_manual_construction():

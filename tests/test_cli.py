@@ -2,6 +2,7 @@
 
 import base64
 import csv
+import dataclasses
 import io
 import json
 
@@ -109,6 +110,14 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert run_cli(["evaluate", "--model", str(half), "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    # a benchmark of no replications or no splits has nothing to compare
+    assert run_cli(["benchmark", "--sim", "--rho", "0.1", "--replications", "0",
+                    "--out", str(tmp_path / "b")]) == 2
+    assert run_cli(["benchmark", "--data", str(data), "--task", "regression",
+                    "--splits", "0", "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert "at least one replication" in err and "at least one split" in err
+    assert not (tmp_path / "b" / "manifest.json").exists()
 
 
 def test_non_finite_standardized_features_exit_two(tmp_path, capsys):
@@ -439,6 +448,36 @@ def test_evaluate_aligns_label_subset(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_model_without_label_map_reads_integer_labels(tmp_path, capsys):
+    # fitted through the API on integer targets: the model has no label map,
+    # and write_csv writes the classes as "0".."10", which must not be read
+    # in lexicographic order ("10" before "2")
+    rng = np.random.default_rng(14)
+    y = np.repeat(np.arange(11), 6)
+    x = (y + rng.uniform(-0.2, 0.2, y.size))[:, None]
+    data = Dataset(x, y, "multiclass")
+    ensemble, _ = boost.fit(data, boost.BoostConfig(iterations=10, nu=0.5, learner="tree",
+                                                    max_depth=4))
+    assert ensemble.label_names is None
+    model, path, out = tmp_path / "m.json", tmp_path / "d.csv", tmp_path / "p.csv"
+    save(ensemble, model)
+    write_csv(data, path)
+    expected = metric("multiclass", y, boost.predict(ensemble, x))
+    assert expected == 0.0
+    assert run_cli(["evaluate", "--model", str(model), "--data", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["metric"] == expected
+    assert run_cli(["predict", "--model", str(model), "--data", str(path),
+                    "--has-target", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == [f"prob_{k}" for k in range(11)] + ["label"]
+    assert [row[-1] for row in rows[1:]] == [str(k) for k in y]
+    # a label outside "0".."10" is a data error
+    path.write_text(path.read_text().replace(",10\n", ",11\n"))
+    assert run_cli(["evaluate", "--model", str(model), "--data", str(path)]) == 2
+    capsys.readouterr()
+
+
 def test_target_column_by_name(tmp_path, capsys):
     path = tmp_path / "named.csv"
     path.write_text("y,x0\n" + "\n".join(
@@ -520,3 +559,37 @@ def test_benchmark_data_mode(tmp_path, capsys):
     assert all(r["dataset"] == "d.csv" for r in manifest)
     assert all(r["config"]["nu"] == 0.5 for r in manifest)
     assert (out / "comparison.csv").exists()
+
+
+def test_benchmark_data_mode_keeps_its_flags(tmp_path, capsys):
+    data_csv = _write_regression_csv(tmp_path / "d.csv", n=60, seed=6)
+    out = tmp_path / "bench"
+    assert run_cli(["benchmark", "--data", str(data_csv), "--task", "regression",
+                    "--methods", "tree,kernel", "--splits", "2", "--fix-nu", "0.5",
+                    "--iterations", "5", "--selection", "undamped", "--min-leaf", "2",
+                    "--gradient", "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest) == 4
+    for row in manifest:
+        config = row["config"]
+        assert config["selection"] == "undamped"
+        assert (config["min_samples_leaf"], config["newton"]) == (2, False)
+        assert config["learner"] == row["method"]
+
+
+def test_benchmark_sim_manifest_records_the_fitted_config(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert run_cli(["benchmark", "--sim", "--replications", "2", "--n", "30",
+                    "--iterations", "6", "--rho", "0.1", "--max-depth", "1",
+                    "--min-leaf", "3", "--early-stopping", "2", "--selection", "undamped",
+                    "--methods", "tree,kernel", "--seed", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest) == 4
+    for row in manifest:
+        expected = boost.BoostConfig(iterations=6, learner=row["method"], max_depth=1,
+                                     min_samples_leaf=3, rho=0.1, seed=4,
+                                     selection="undamped", standardize=False,
+                                     early_stopping_rounds=2)
+        assert row["config"] == dataclasses.asdict(expected)
