@@ -20,7 +20,6 @@ from .bench import (
     grid_search,
     holm_bonferroni,
     metric,
-    pointwise_mse,
     rank_methods,
     run_simulation_study,
     run_split_benchmark,
@@ -64,7 +63,6 @@ from .kernels import (
     fit_kernel_gradient,
     fit_kernel_newton,
     kernel_matrix,
-    nystrom_gram,
     nystrom_indices,
     select_rho,
 )

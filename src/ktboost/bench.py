@@ -88,26 +88,6 @@ def simulate(sim: SimFunction, n: int, data_seed) -> Dataset:
     return Dataset(x[:, None], y, "regression")
 
 
-def pointwise_mse(models, sims, grid, truncate_at=None) -> np.ndarray:
-    """Mean squared estimation error against the noiseless truth per grid x.
-
-    ``models[i]`` is evaluated against ``sims[i]`` (a single SimFunction is
-    broadcast); ``truncate_at`` optionally caps each model's iterations.
-    """
-    models = list(models)
-    if not models:
-        raise DataError("no models to evaluate")
-    if isinstance(sims, SimFunction):
-        sims = [sims] * len(models)
-    grid = np.asarray(grid, dtype=np.float64)
-    total = np.zeros(grid.size)
-    for i, (model, sim) in enumerate(zip(models, sims)):
-        cap = None if truncate_at is None else truncate_at[i]
-        pred = predict(model, grid[:, None], truncate_at=cap)[:, 0]
-        total += (pred - sim.truth(grid)) ** 2
-    return total / len(models)
-
-
 # ---------------------------------------------------------------------------
 # metrics
 

@@ -1,12 +1,15 @@
 """Boosting engine that races a tree against a kernel learner each round.
 
-Starting from the risk-optimal constant F0, every iteration fits one
-regression tree and one penalized kernel expansion to the current
-gradient/Hessian column(s), then admits the candidate whose damped update
-F + nu*f has the lower training risk (sum of per-sample losses). Ties go
-to the tree. The undamped selection variant compares R(F + f) instead but
-still updates with shrinkage nu. Restricting the learner type recovers
-plain tree boosting or plain kernel boosting from the identical code path.
+Starting from the risk-optimal constant F0, every iteration races two
+candidates, a regression tree and a penalized kernel expansion, with the
+same two steps: ``propose(g, h)`` fits one learner per output to the
+current gradient/Hessian columns and returns their training fitted values,
+and ``validation(learners)`` scores them on the validation rows. The
+candidate whose damped update F + nu*f has the lower training risk (sum of
+per-sample losses) is admitted; ties go to the tree, and a NaN risk loses
+to anything. The undamped selection variant compares R(F + f) instead but
+still updates with shrinkage nu. Restricting the learner type leaves one
+candidate: plain tree or plain kernel boosting from the same code path.
 
 Validation data, when supplied, is scored after every iteration; the
 report marks the risk-argmin iteration, which is how the iteration count
@@ -41,6 +44,7 @@ from .kernels import (
     build_gradient_cache,
     build_nystrom,
     check_exact_gram_fits,
+    check_ridge_settings,
     fit_kernel_gradient,
     fit_kernel_newton,
     kernel_block_rows,
@@ -102,14 +106,13 @@ class BoostConfig:
             raise DataError("set either rho or rho_mode, not both")
         if self.rho_mode is not None and self.rho_mode not in RHO_MODES:
             raise DataError(f"unknown rho mode {self.rho_mode!r}")
-        if self.rho is not None and not self.rho > 0:
-            raise DataError("rho must be positive")
+        check_ridge_settings(self.rho, self.lam)
         if self.rho_knn < 1:
             raise DataError("rho_knn must be at least 1")
-        if self.lam < 0:
-            raise DataError("lambda must be nonnegative")
         if self.nystrom is not None and self.nystrom < 1:
             raise DataError("nystrom sample count must be at least 1")
+        if self.seed < 0:
+            raise DataError("seed must be nonnegative")
         if self.early_stopping_rounds is not None and self.early_stopping_rounds < 1:
             raise DataError("early_stopping_rounds must be at least 1")
         if self.learner != "tree" and self.rho is None and self.rho_mode is None:
@@ -193,35 +196,65 @@ def empirical_risk(loss: LossFunction, targets, scores) -> float:
     return float(np.sum(loss_values(loss, targets, scores)))
 
 
-def _resolve_kernel_config(
-    x: np.ndarray, config: BoostConfig, n_validation: int
-) -> tuple[KernelConfig, np.ndarray | None]:
-    """Fix the bandwidth, on the sampled rows when Nystrom is active.
+class _TreeCandidate:
+    """One regression tree per output, grown on the fit's one presort of x."""
 
-    Also returns the indices of those rows, or None in exact mode, whose
-    memory limit (the Gram matrix, its factor and the n_validation rows'
-    kernel matrix) is checked here, before select_rho's n-by-n distances.
+    tag = "tree"
+
+    def __init__(self, x: np.ndarray, xv: np.ndarray | None, config: BoostConfig):
+        # x never changes, so one sort serves every tree of the fit.
+        self.sorted_x = presort_features(x)
+        self.xv = xv
+        self.config = config
+
+    def propose(self, g: np.ndarray, h: np.ndarray) -> tuple[list, np.ndarray]:
+        depth, min_leaf = self.config.max_depth, self.config.min_samples_leaf
+        grown = [fit_tree(self.sorted_x, g[:, k], h[:, k], depth, min_leaf) for k in range(g.shape[1])]
+        return [tree for tree, _ in grown], np.column_stack([tree.value.take(leaf) for tree, leaf in grown])
+
+    def validation(self, learners: list) -> np.ndarray:
+        return np.column_stack([predict_tree_batch(tree, self.xv) for tree in learners])
+
+
+class _KernelCandidate:
+    """One kernel ridge expansion per output, solved on the fit's one KernelSolver.
+
+    Exact mode's memory limit (the Gram matrix, its factor and the validation
+    rows' kernel matrix) is checked before select_rho's n-by-n distances.
+    ``config``, with the bandwidth fixed, is what a model with kernel rounds keeps.
     """
-    n = x.shape[0]
-    if config.nystrom is None:
-        check_exact_gram_fits(n, n_validation)
-        indices = None
-    elif config.nystrom > n:
-        raise DataError(f"nystrom sample count {config.nystrom} exceeds {n} rows")
-    else:
-        indices = nystrom_indices(n, config.nystrom, config.seed)
-    rho = config.rho
-    if rho is None:
-        rho = select_rho(x if indices is None else x[indices], config.rho_knn, config.rho_mode)
-    return KernelConfig(rho, config.lam, config.nystrom, config.seed), indices
 
+    tag = "kernel"
 
-def _kernel_solver(x: np.ndarray, kconfig: KernelConfig, indices) -> KernelSolver:
-    """The fit's solver over the Nystrom samples at ``indices``, or over all rows."""
-    if indices is None:
-        gram = kernel_matrix(x, x, kconfig.rho)
-        return KernelSolver(x, gram, gram, kconfig.lam)
-    return build_nystrom(x, indices, kconfig)
+    def __init__(self, x: np.ndarray, xv: np.ndarray | None, config: BoostConfig, loss: LossFunction):
+        if config.nystrom is None:
+            check_exact_gram_fits(len(x), 0 if xv is None else len(xv))
+            indices = None
+        else:
+            indices = nystrom_indices(len(x), config.nystrom, config.seed)
+        rho = config.rho
+        if rho is None:
+            rho = select_rho(x if indices is None else x[indices], config.rho_knn, config.rho_mode)
+        self.config = KernelConfig(rho, config.lam, config.nystrom)
+        if indices is None:
+            gram = kernel_matrix(x, x, rho)
+            solver = KernelSolver(x, gram, gram, config.lam)
+        else:
+            solver = build_nystrom(x, indices, self.config)
+        self.val_kernel = None if xv is None else kernel_matrix(xv, solver.anchors, rho)
+        # A constant Hessian (gradient mode, or the squared loss, whose
+        # Newton h is exactly one) gives the same system every round.
+        if not config.newton or loss.kind == "squared":
+            solver = build_gradient_cache(solver)
+        self.solver = solver
+        self.solve = fit_kernel_newton if solver.factor is None else fit_kernel_gradient
+
+    def propose(self, g: np.ndarray, h: np.ndarray) -> tuple[list, np.ndarray]:
+        alphas = [self.solve(self.solver, g[:, k], h[:, k]) for k in range(g.shape[1])]
+        return alphas, np.column_stack([self.solver.basis @ alpha for alpha in alphas])
+
+    def validation(self, learners: list) -> np.ndarray:
+        return np.column_stack([self.val_kernel @ alpha for alpha in learners])
 
 
 def fit(
@@ -236,7 +269,6 @@ def fit(
     if config.early_stopping_rounds is not None and validation is None:
         raise DataError("early stopping needs validation data")
     loss = for_task(train.task, train.n_classes)
-    d = loss.n_outputs
     standardizer = fit_standardizer(train) if config.standardize else identity_standardizer(p)
     x = standardizer.transform(train.features)
     y = train.targets
@@ -244,132 +276,75 @@ def fit(
     f0 = optimal_constant(loss, y)
     scores = np.tile(f0, (n, 1))
 
-    xv = yv = vscores = None
+    xv = vscores = None
     if validation is not None:
         if validation.task != train.task or validation.n_features != p:
             raise DataError("validation data does not match the training data")
         xv = standardizer.transform(validation.features)
-        yv = validation.targets
         vscores = np.tile(f0, (validation.n_samples, 1))
 
-    use_tree = config.learner in ("ktboost", "tree")
-    use_kernel = config.learner in ("ktboost", "kernel")
-    # x never changes, so one sort serves every tree of the fit.
-    sorted_x = presort_features(x) if use_tree else None
-
-    kconfig = solver = val_apply = None  # val_apply maps alpha to validation fitted values
-    if use_kernel:
-        kconfig, indices = _resolve_kernel_config(x, config, 0 if xv is None else xv.shape[0])
-        solver = _kernel_solver(x, kconfig, indices)
-        if xv is not None:
-            val_apply = kernel_matrix(xv, solver.anchors, kconfig.rho)
-        # A constant Hessian (gradient mode, or the squared loss, whose
-        # Newton h is exactly one) gives the same system every round.
-        if not config.newton or loss.kind == "squared":
-            solver = build_gradient_cache(solver)
-        solve = fit_kernel_newton if solver.factor is None else fit_kernel_gradient
+    # The tree proposes first, so a tie admits it.
+    candidates = []
+    if config.learner != "kernel":
+        candidates.append(_TreeCandidate(x, xv, config))
+    if config.learner != "tree":
+        candidates.append(_KernelCandidate(x, xv, config, loss))
 
     step = config.nu if config.selection == "damped" else 1.0
+    report = FitReport(
+        train_risk=[], chosen=[], tree_risk=[], kernel_risk=[],
+        validation_risk=None if validation is None else [], best_iteration=0,
+        initial_risk=empirical_risk(loss, y, scores), seconds=[],
+    )
     iterations: list[IterationLearners] = []
-    train_trace: list[float] = []
-    chosen: list[str] = []
-    tree_trace: list[float] = []
-    kernel_trace: list[float] = []
-    val_trace: list[float] = [] if validation is not None else None
-    seconds: list[float] = []
-    initial_risk = empirical_risk(loss, y, scores)
     best_val = np.inf
-    best_iter = 0
 
     for m in range(1, config.iterations + 1):
         started = time.perf_counter()
         gh = gradient_hessian(loss, y, scores, newton=config.newton)
 
-        tree_learners = tree_pred = None
-        tree_risk = np.nan
-        if use_tree:
-            grown = [
-                fit_tree(sorted_x, gh.g[:, k], gh.h[:, k], config.max_depth, config.min_samples_leaf)
-                for k in range(d)
-            ]
-            tree_learners = [tree for tree, _ in grown]
-            tree_pred = np.column_stack([tree.value.take(leaf) for tree, leaf in grown])
-            tree_risk = empirical_risk(loss, y, scores + step * tree_pred)
+        risks = {"tree": np.nan, "kernel": np.nan}
+        best_key = winner = None
+        for candidate in candidates:
+            learners, pred = candidate.propose(gh.g, gh.h)
+            risk = risks[candidate.tag] = empirical_risk(loss, y, scores + step * pred)
+            key = np.inf if np.isnan(risk) else risk  # a NaN risk loses to anything
+            if winner is None or key < best_key:
+                best_key, winner, admitted, admitted_pred = key, candidate, learners, pred
 
-        kernel_learners = kernel_pred = None
-        kernel_risk = np.nan
-        if use_kernel:
-            kernel_learners = [solve(solver, gh.g[:, k], gh.h[:, k]) for k in range(d)]
-            kernel_pred = np.column_stack([solver.basis @ alpha for alpha in kernel_learners])
-            kernel_risk = empirical_risk(loss, y, scores + step * kernel_pred)
-
-        # NaN risks lose to anything; ties admit the tree.
-        tree_key = np.inf if np.isnan(tree_risk) else tree_risk
-        kernel_key = np.inf if np.isnan(kernel_risk) else kernel_risk
-        admit_tree = use_tree and (not use_kernel or tree_key <= kernel_key)
-        if admit_tree:
-            tag, learners, pred, selection_risk = "tree", tree_learners, tree_pred, tree_risk
-        else:
-            tag, learners, pred, selection_risk = "kernel", kernel_learners, kernel_pred, kernel_risk
-
-        scores += config.nu * pred
+        scores += config.nu * admitted_pred
         if config.selection == "damped":
-            new_risk = selection_risk
+            new_risk = risks[winner.tag]
         else:
             new_risk = empirical_risk(loss, y, scores)
         if not np.isfinite(new_risk):
             raise NumericalError(f"training risk diverged at iteration {m}")
 
-        iterations.append(IterationLearners(tag, learners))
-        train_trace.append(new_risk)
-        chosen.append(tag)
-        tree_trace.append(tree_risk)
-        kernel_trace.append(kernel_risk)
+        iterations.append(IterationLearners(winner.tag, admitted))
+        report.train_risk.append(new_risk)
+        report.chosen.append(winner.tag)
+        report.tree_risk.append(risks["tree"])
+        report.kernel_risk.append(risks["kernel"])
 
         if validation is not None:
-            if tag == "tree":
-                vpred = np.column_stack([predict_tree_batch(t, xv) for t in learners])
-            else:
-                vpred = np.column_stack([val_apply @ alpha for alpha in learners])
-            vscores += config.nu * vpred
-            vrisk = empirical_risk(loss, yv, vscores)
-            val_trace.append(vrisk)
+            vscores += config.nu * winner.validation(admitted)
+            vrisk = empirical_risk(loss, validation.targets, vscores)
+            report.validation_risk.append(vrisk)
             if vrisk < best_val:
                 best_val = vrisk
-                best_iter = m
-            rounds = config.early_stopping_rounds
-            seconds.append(time.perf_counter() - started)
-            if rounds is not None and m - best_iter >= rounds:
-                break
-        else:
-            seconds.append(time.perf_counter() - started)
+                report.best_iteration = m
+        report.seconds.append(time.perf_counter() - started)
+        rounds = config.early_stopping_rounds
+        if rounds is not None and m - report.best_iteration >= rounds:
+            break
 
-    completed = len(iterations)
-    best_iteration = best_iter if validation is not None else completed
-    if "kernel" in chosen:
-        anchors = solver.anchors
-    else:
-        anchors = kconfig = None
+    if validation is None:
+        report.best_iteration = len(iterations)
+    anchors = kconfig = None
+    if "kernel" in report.chosen:
+        anchors, kconfig = candidates[-1].solver.anchors, candidates[-1].config
     ensemble = Ensemble(
-        train.task,
-        loss.kind,
-        config.nu,
-        f0,
-        standardizer,
-        iterations,
-        train.label_names,
-        anchors,
-        kconfig,
-    )
-    report = FitReport(
-        train_trace,
-        chosen,
-        tree_trace,
-        kernel_trace,
-        val_trace,
-        best_iteration,
-        initial_risk,
-        seconds,
+        train.task, loss.kind, config.nu, f0, standardizer, iterations, train.label_names, anchors, kconfig
     )
     return ensemble, report
 

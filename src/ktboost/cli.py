@@ -58,67 +58,69 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learner", choices=LEARNER_CHOICES, default="ktboost")
+    """Flags for BoostConfig's fields. An unset flag reads None, so BoostConfig's default applies."""
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--newton", dest="newton", action="store_true", default=True,
                       help="second-order fitting (default)")
     mode.add_argument("--gradient", dest="newton", action="store_false",
                       help="first-order fitting with unit Hessians")
-    p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--nu", type=float, default=0.1, help="shrinkage in (0, 1]")
-    p.add_argument("--max-depth", type=int, default=5)
-    p.add_argument("--min-leaf", type=int, default=1)
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--nu", type=float, help="shrinkage in (0, 1]")
+    p.add_argument("--max-depth", type=int)
+    p.add_argument("--min-leaf", type=int)
     rho = p.add_mutually_exclusive_group()
     rho.add_argument("--rho", type=float, help="explicit kernel bandwidth")
     rho.add_argument("--rho-knn", type=int, metavar="K",
                      help="bandwidth from the mean K-nearest-neighbor distance")
-    rho.add_argument("--rho-slow", action="store_true",
+    rho.add_argument("--rho-slow", action="store_true", default=None,
                      help="bandwidth from the all-pairs mean distance")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--nystrom", type=int, metavar="L",
                    help="low-rank kernel approximation from L sampled rows")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--selection", choices=SELECTION_MODES, default="damped")
+    p.add_argument("--selection", choices=SELECTION_MODES)
     p.add_argument("--early-stopping", type=int, metavar="R",
                    help="stop after R iterations without validation improvement")
-    p.add_argument("--no-standardize", action="store_true",
+    p.add_argument("--no-standardize", action="store_true", default=None,
                    help="skip per-feature standardization")
 
 
-def _boost_config(args, parser: argparse.ArgumentParser) -> BoostConfig:
-    rho_mode = None
-    rho_knn = 5
-    if args.rho_knn is not None:
-        rho_mode = "decay01"
-        rho_knn = args.rho_knn
-    elif args.rho_slow:
-        rho_mode = "slow"
-    return _config(
-        parser,
-        iterations=args.iterations,
-        nu=args.nu,
-        newton=args.newton,
-        learner=args.learner,
-        max_depth=args.max_depth,
-        min_samples_leaf=args.min_leaf,
-        rho=args.rho,
-        rho_mode=rho_mode,
-        rho_knn=rho_knn,
-        lam=args.lam,
-        nystrom=args.nystrom,
-        seed=args.seed,
-        selection=args.selection,
-        standardize=not args.no_standardize,
-        early_stopping_rounds=args.early_stopping,
-    )
+def _given(**values) -> dict:
+    """The values whose flags were given: an unset flag reads None."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
-def _config(parser: argparse.ArgumentParser, **fields) -> BoostConfig:
-    """BoostConfig(**fields), with an invalid setting reported as a usage error."""
+def _boost_config(args, **fields) -> BoostConfig:
+    """BoostConfig of the model flags plus ``fields``, an invalid setting reported as a usage error."""
+    rho_mode = "decay01" if args.rho_knn is not None else "slow" if args.rho_slow else None
     try:
-        return BoostConfig(**fields)
+        return BoostConfig(**_given(
+            iterations=args.iterations,
+            nu=args.nu,
+            newton=args.newton,
+            max_depth=args.max_depth,
+            min_samples_leaf=args.min_leaf,
+            rho=args.rho,
+            rho_mode=rho_mode,
+            rho_knn=args.rho_knn,
+            lam=args.lam,
+            nystrom=args.nystrom,
+            seed=args.seed,
+            selection=args.selection,
+            standardize=not args.no_standardize,
+            early_stopping_rounds=args.early_stopping,
+            **fields,
+        ))
     except DataError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
+
+
+# Flags that only one benchmark mode reads; the other mode refuses them.
+_SIM_ONLY_FLAGS = {"replications": "--replications", "n": "--n", "nu": "--nu",
+                   "max_depth": "--max-depth", "lam": "--lambda", "rho": "--rho",
+                   "rho_knn": "--rho-knn", "rho_slow": "--rho-slow"}
+_DATA_ONLY_FLAGS = {"task": "--task", "splits": "--splits", "fix_nu": "--fix-nu",
+                    "no_standardize": "--no-standardize"}
 
 
 def build_parser() -> _Parser:
@@ -133,6 +135,7 @@ def build_parser() -> _Parser:
                          help="must agree with the task; informational")
     p_train.add_argument("--target-column", default=None,
                          help="target name or index (default: last column)")
+    p_train.add_argument("--learner", choices=LEARNER_CHOICES, default="ktboost")
     _add_model_flags(p_train)
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.add_argument("--trace", help="per-iteration risk CSV")
@@ -165,11 +168,11 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--task", choices=TASKS, help="task for --data mode")
     p_bench.add_argument("--methods", default=",".join(METHODS),
                          help="comma-separated subset of ktboost,tree,kernel")
-    p_bench.add_argument("--replications", type=int, default=100,
+    p_bench.add_argument("--replications", type=int,
                          help="simulation draws in --sim mode")
-    p_bench.add_argument("--n", type=int, default=1000,
-                         help="rows per simulated split")
-    p_bench.add_argument("--splits", type=int, default=10,
+    p_bench.add_argument("--n", type=int,
+                         help="rows per simulated split in --sim mode")
+    p_bench.add_argument("--splits", type=int,
                          help="random splits in --data mode")
     p_bench.add_argument("--fix-nu", type=float,
                          help="restrict the shrinkage grid axis to one value")
@@ -190,7 +193,7 @@ def cmd_train(args) -> int:
     expected_loss = {"regression": "squared", "binary": "logistic", "multiclass": "softmax"}
     if args.loss is not None and args.loss != expected_loss[args.task]:
         args.parser.error(f"--loss {args.loss} does not fit --task {args.task}")
-    config = _boost_config(args, args.parser)
+    config = _boost_config(args, learner=args.learner)
     if config.early_stopping_rounds is not None and not args.validation:
         raise DataError("--early-stopping needs --validation")
     target = args.target_column if args.target_column is not None else -1
@@ -270,6 +273,8 @@ def cmd_evaluate(args) -> int:
 def cmd_simulate(args) -> int:
     if args.n < 1:
         args.parser.error("--n must be at least 1")
+    if args.seed < 0:
+        args.parser.error("--seed must be nonnegative")
     s_sim, s_data = np.random.SeedSequence(args.seed).spawn(2)
     sim = SimFunction.from_seed(s_sim)
     write_csv(simulate(sim, args.n, s_data), args.out)
@@ -287,20 +292,28 @@ def cmd_benchmark(args) -> int:
     methods = _parse_methods(args)
     if args.jobs < 1:
         args.parser.error("--jobs must be at least 1")
+    ignored = _DATA_ONLY_FLAGS if args.sim else _SIM_ONLY_FLAGS
+    given = [flag for dest, flag in ignored.items() if getattr(args, dest) is not None]
+    if given:
+        args.parser.error(f"{'--sim' if args.sim else '--data'} mode takes no {', '.join(given)}")
+    if args.sim and args.rho is None:
+        args.parser.error("--sim mode needs an explicit --rho")
+    if not args.sim and args.task is None:
+        args.parser.error("--data mode needs --task")
+    # In --data mode the grid tunes nu, depth, lambda and the bandwidth; the
+    # tree learner validates without a bandwidth.
+    config = _boost_config(args) if args.sim else _boost_config(args, learner="tree")
     os.makedirs(args.out, exist_ok=True)
     manifest_path = os.path.join(args.out, "manifest.json")
     table_path = os.path.join(args.out, "comparison.csv")
 
     if args.sim:
-        if args.rho is None:
-            args.parser.error("--sim mode needs an explicit --rho")
         study = run_simulation_study(
-            _boost_config(args, args.parser),
+            config,
             methods=methods,
-            replications=args.replications,
-            n=args.n,
             master_seed=args.seed,
             jobs=args.jobs,
+            **_given(replications=args.replications, n=args.n),
         )
         rows = study.manifest_rows()
         results = {"sim-jumps": {m: study.test_mse[m].tolist() for m in methods}}
@@ -311,21 +324,6 @@ def cmd_benchmark(args) -> int:
             "pointwise_mean_0.6_to_1": {m: study.region_mean(m, 0.6, 1.0) for m in methods},
         }
     else:
-        if args.task is None:
-            args.parser.error("--data mode needs --task")
-        # The grid tunes nu, depth, lambda and the bandwidth; these flags set
-        # the rest. The tree learner validates without a bandwidth.
-        base = _config(
-            args.parser,
-            learner="tree",
-            newton=args.newton,
-            min_samples_leaf=args.min_leaf,
-            nystrom=args.nystrom,
-            seed=args.seed,
-            selection=args.selection,
-            standardize=not args.no_standardize,
-            early_stopping_rounds=args.early_stopping,
-        )
         dataset = load_csv(args.data, task=args.task)
         grid = GridSpec(max_iterations=args.iterations)
         if args.fix_nu is not None:
@@ -334,11 +332,11 @@ def cmd_benchmark(args) -> int:
             dataset,
             os.path.basename(args.data),
             methods=methods,
-            splits=args.splits,
             grid=grid,
             master_seed=args.seed,
             jobs=args.jobs,
-            base=base,
+            base=config,
+            **_given(splits=args.splits),
         )
         results = rows_to_results(rows)
         summary = {

@@ -62,6 +62,21 @@ DECAY01 = float(np.sqrt(np.log(100.0)))
 RHO_MODES = ("decay01", "slow")
 
 
+def check_ridge_settings(rho: float | None, lam: float) -> None:
+    """Raise DataError for a bandwidth or ridge penalty that no kernel fit can use.
+
+    lam must be finite and nonnegative. rho, when given, must be positive
+    with a square that is finite and nonzero: kernel_matrix divides squared
+    distances by rho squared, so a rho whose square underflows to 0 or
+    overflows is no bandwidth at all. NaN fails every comparison, so both
+    tests refuse it.
+    """
+    if rho is not None and not (rho > 0 and 0 < rho * rho < np.inf):
+        raise DataError("rho must be positive, with a finite and nonzero square")
+    if not 0 <= lam < np.inf:
+        raise DataError("lambda must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """Bandwidth rho, ridge penalty lam, and optional Nystrom sampling."""
@@ -69,17 +84,11 @@ class KernelConfig:
     rho: float
     lam: float
     nystrom_samples: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise DataError("rho must be a positive real")
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise DataError("lambda must be nonnegative")
+        check_ridge_settings(self.rho, self.lam)
         if self.nystrom_samples is not None and self.nystrom_samples < 1:
             raise DataError("nystrom sample count must be at least 1")
-        if self.seed < 0:
-            raise DataError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -195,12 +204,6 @@ def build_nystrom(features: np.ndarray, indices: np.ndarray, config: KernelConfi
     samples = x[indices]
     gram = kernel_matrix(samples, samples, config.rho)
     return KernelSolver(samples, kernel_matrix(x, samples, config.rho), gram, config.lam)
-
-
-def nystrom_gram(solver: KernelSolver) -> np.ndarray:
-    """The approximate Gram matrix C W^{-1} C^T (rank at most l)."""
-    c = solver.basis
-    return c @ cho_solve(factorize_spd(solver.gram), c.T, check_finite=False)
 
 
 def _system(solver: KernelSolver, h: np.ndarray) -> np.ndarray:

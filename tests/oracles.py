@@ -10,8 +10,12 @@ these, never against the code under test.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
+from ktboost.bench import SimFunction
+from ktboost.boost import predict
 from ktboost.errors import DataError
+from ktboost.kernels import factorize_spd
 from ktboost.trees import Tree
 
 
@@ -286,3 +290,32 @@ def oracle_kernel_objective(k, g, h, lam, alpha):
     """Penalized quadratic sum(g f + h f^2 / 2) + lam/2 a' K a at f = K a."""
     f = k @ alpha
     return float(np.sum(g * f + 0.5 * h * f * f) + 0.5 * lam * alpha @ k @ alpha)
+
+
+def nystrom_gram(solver) -> np.ndarray:
+    """The approximate Gram matrix C W^{-1} C^T (rank at most l) of a Nystrom solver."""
+    c = solver.basis
+    return c @ cho_solve(factorize_spd(solver.gram), c.T, check_finite=False)
+
+
+# -------------------------------------------------------------- simulation
+
+
+def pointwise_mse(models, sims, grid, truncate_at=None) -> np.ndarray:
+    """Mean squared estimation error against the noiseless truth per grid x.
+
+    ``models[i]`` is evaluated against ``sims[i]`` (a single SimFunction is
+    broadcast); ``truncate_at`` optionally caps each model's iterations.
+    """
+    models = list(models)
+    if not models:
+        raise DataError("no models to evaluate")
+    if isinstance(sims, SimFunction):
+        sims = [sims] * len(models)
+    grid = np.asarray(grid, dtype=np.float64)
+    total = np.zeros(grid.size)
+    for i, (model, sim) in enumerate(zip(models, sims)):
+        cap = None if truncate_at is None else truncate_at[i]
+        pred = predict(model, grid[:, None], truncate_at=cap)[:, 0]
+        total += (pred - sim.truth(grid)) ** 2
+    return total / len(models)

@@ -38,7 +38,6 @@ from ktboost import (
     kernel_matrix,
     load,
     loss_values,
-    nystrom_gram,
     nystrom_indices,
     optimal_constant,
     predict,
@@ -49,7 +48,7 @@ from ktboost import (
     save,
     simulate,
 )
-from oracles import assert_same_tree, oracle_kernel_alpha, oracle_tree, tree_objective
+from oracles import assert_same_tree, nystrom_gram, oracle_kernel_alpha, oracle_tree, tree_objective
 
 FD_STEP = 1e-5
 

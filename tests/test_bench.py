@@ -29,7 +29,6 @@ from ktboost import (
     holm_bonferroni,
     identity_standardizer,
     metric,
-    pointwise_mse,
     rank_methods,
     run_simulation_study,
     run_split_benchmark,
@@ -39,6 +38,7 @@ from ktboost import (
 )
 from ktboost.bench import GRID_BASE, comparison_csv, fit_report_rows, rows_to_results
 from ktboost.boost import Ensemble
+from oracles import pointwise_mse
 
 
 # ------------------------------------------------------------- simulation

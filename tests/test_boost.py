@@ -93,6 +93,13 @@ def test_boost_config_validation():
         BoostConfig(rho=1.0, lam=-1.0)
     with pytest.raises(DataError):
         BoostConfig(rho=1.0, early_stopping_rounds=0)
+    with pytest.raises(DataError):
+        BoostConfig(rho=1.0, nystrom=5, seed=-1)
+    # every float setting finite; rho squared neither underflows nor overflows
+    for bad in (dict(nu=np.nan), dict(nu=np.inf), dict(lam=np.nan), dict(lam=np.inf),
+                dict(rho=np.nan), dict(rho=np.inf), dict(rho=1e-300), dict(rho=1e200)):
+        with pytest.raises(DataError):
+            BoostConfig(learner="tree", **bad)
     # tree-only learner needs no bandwidth at all
     assert BoostConfig(learner="tree").rho is None
 

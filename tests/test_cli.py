@@ -1,6 +1,7 @@
 """End-to-end command-line flows, exit codes, and artifact determinism."""
 
 import base64
+import contextlib
 import csv
 import dataclasses
 import io
@@ -8,6 +9,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktboost import (
     Dataset,
@@ -75,10 +78,108 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["benchmark", "--sim", "--rho", "0.1", "--methods", "bagging",
          "--out", str(tmp_path / "b")],
         ["benchmark", "--data", "x.csv", "--out", str(tmp_path / "b")],  # no --task
+        # seeds and float settings are checked before any file is read
+        ["train", "--data", "x.csv", "--task", "regression", "--out", "m.json",
+         "--nystrom", "5", "--seed", "-4"],
+        ["simulate", "--n", "5", "--seed", "-1", "--out", str(tmp_path / "s.csv")],
+        ["benchmark", "--sim", "--rho", "0.1", "--seed", "-1", "--out", str(tmp_path / "b")],
+        ["benchmark", "--data", "x.csv", "--task", "regression", "--seed", "-1",
+         "--out", str(tmp_path / "b")],
+        ["train", "--data", "x.csv", "--task", "regression", "--out", "m.json",
+         "--learner", "tree", "--lambda", "nan"],
+        ["train", "--data", "x.csv", "--task", "regression", "--out", "m.json",
+         "--rho", "1.0", "--lambda", "inf"],
+        ["train", "--data", "x.csv", "--task", "regression", "--out", "m.json", "--rho", "inf"],
+        ["train", "--data", "x.csv", "--task", "regression", "--out", "m.json", "--rho", "1e-300"],
+        ["train", "--data", "x.csv", "--task", "regression", "--out", "m.json", "--nu", "nan"],
     ]
     for argv in cases:
         assert run_cli(argv) == 1, argv
         capsys.readouterr()  # drain
+    assert not (tmp_path / "b").exists()  # refused before the output directory is made
+
+
+# Flag values for the fuzz test, as (usable values, odd values). The odd
+# ones are signs, zero, NaN, infinities, extremes and text that is no
+# number, and flags that the command refuses have only odd values. An
+# example draws either usable values only or both kinds, so runs that
+# compute are drawn as often as runs that stop at the parser. The sizes
+# that set the amount of work (--iterations, --n, --replications,
+# --splits, --jobs) stay small either way: every example runs in
+# milliseconds and at most two worker processes ever start.
+_SWITCH = ([None], [])  # a switch takes no value
+_ODD_FLOATS = ["-1", "0", "-0.0", "nan", "inf", "-inf", "1e308", "1e-300", "x"]
+_ODD_INTS = ["-4", "-1", "0", "1000000000000", "nan", "1.5"]
+_SIZES = (["1", "2", "3"], ["-1", "0", "nan"])
+_MODEL_FLAGS = {
+    "--iterations": _SIZES, "--nu": (["0.3", "1"], _ODD_FLOATS),
+    "--max-depth": (["0", "1", "3"], _ODD_INTS), "--min-leaf": (["1", "3"], _ODD_INTS),
+    "--rho": (["0.3", "2"], _ODD_FLOATS), "--rho-knn": (["2", "5"], _ODD_INTS), "--rho-slow": _SWITCH,
+    "--lambda": (["0", "1"], _ODD_FLOATS), "--nystrom": (["1", "4"], _ODD_INTS),
+    "--seed": (["0", "7"], _ODD_INTS), "--early-stopping": (["1", "2"], _ODD_INTS),
+    "--selection": (["damped", "undamped"], ["greedy"]), "--gradient": _SWITCH, "--no-standardize": _SWITCH,
+}
+_BENCH_FLAGS = {
+    **_MODEL_FLAGS, "--replications": _SIZES, "--n": (["2", "5"], _SIZES[1]), "--splits": _SIZES,
+    "--jobs": (["1", "2"], ["-1", "0"]), "--fix-nu": (["0.5"], _ODD_FLOATS),
+    "--methods": (["tree", "kernel", "tree,ktboost"], ["bagging"]), "--learner": ([], ["tree"]),
+}
+
+
+def _refused(flags: dict, *names) -> dict:
+    """``flags`` with the ``names`` flags given odd values only."""
+    return {**flags, **{name: ([], sum(flags[name], [])) for name in names}}
+
+
+def _draw_flags(data, flags: dict, odd: bool, required=()) -> list:
+    """The ``required`` flags and up to five others, with drawn values."""
+    drawable = sorted(flag for flag, (usable, _) in flags.items() if odd or usable)
+    names = list(required) + data.draw(st.lists(st.sampled_from(drawable), unique=True, max_size=5))
+    argv = []
+    for flag in dict.fromkeys(names):
+        usable, odd_values = flags[flag]
+        value = data.draw(st.sampled_from(usable + odd_values if odd else usable))
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    _write_regression_csv(path / "regression.csv", n=16)
+    _write_binary_csv(path / "binary.csv", n=16)
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cli_flag_values_end_in_an_exit_code(fuzz_dir, data):
+    csv_path = str(fuzz_dir / data.draw(st.sampled_from(["regression.csv", "binary.csv"])))
+    task = data.draw(st.sampled_from(["regression", "binary", "multiclass"]))
+    odd = data.draw(st.booleans())
+    command = data.draw(st.sampled_from(["train", "simulate", "benchmark --sim", "benchmark --data"]))
+    if command == "train":
+        argv = ["train", "--data", csv_path, "--task", task, "--out", str(fuzz_dir / "model.json")]
+        flags = {**_MODEL_FLAGS, "--validation": ([csv_path], []),
+                 "--learner": (["ktboost", "tree", "kernel"], ["forest"])}
+        bandwidth = data.draw(st.sampled_from([["--rho"], ["--rho-knn"], ["--rho-slow"], []]))
+        argv += _draw_flags(data, flags, odd, required=bandwidth)
+    elif command == "simulate":
+        argv = ["simulate", "--out", str(fuzz_dir / "sim.csv")]
+        argv += _draw_flags(data, {"--n": _SIZES, "--seed": _MODEL_FLAGS["--seed"]}, odd, required=["--n"])
+    elif command == "benchmark --sim":
+        argv = ["benchmark", "--sim", "--out", str(fuzz_dir / "bench")]
+        flags = _refused({**_BENCH_FLAGS, "--task": ([task], [])}, "--task", "--splits", "--fix-nu",
+                         "--no-standardize", "--rho-knn", "--rho-slow")
+        argv += _draw_flags(data, flags, odd, required=["--iterations", "--replications", "--n", "--rho"])
+    else:
+        argv = ["benchmark", "--data", csv_path, "--task", task, "--out", str(fuzz_dir / "bench")]
+        flags = _refused(_BENCH_FLAGS, "--nu", "--max-depth", "--lambda", "--rho", "--rho-knn",
+                         "--rho-slow", "--replications", "--n")
+        argv += _draw_flags(data, flags, odd, required=["--iterations", "--splits"])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(argv)
+    assert code in (0, 1, 2, 3), argv
 
 
 def test_data_errors_exit_two(tmp_path, capsys):
@@ -576,6 +677,27 @@ def test_benchmark_data_mode_keeps_its_flags(tmp_path, capsys):
         assert config["selection"] == "undamped"
         assert (config["min_samples_leaf"], config["newton"]) == (2, False)
         assert config["learner"] == row["method"]
+
+
+def test_benchmark_refuses_flags_its_mode_ignores(tmp_path, capsys):
+    data_csv = _write_regression_csv(tmp_path / "d.csv", n=30)
+    out = tmp_path / "bench"
+    data_mode = ["benchmark", "--data", str(data_csv), "--task", "regression", "--methods", "tree",
+                 "--splits", "1", "--iterations", "2", "--out", str(out)]
+    sim_mode = ["benchmark", "--sim", "--rho", "0.1", "--methods", "tree", "--replications", "1",
+                "--n", "20", "--iterations", "2", "--out", str(out)]
+    # the grid sets nu, depth, lambda and the bandwidth; --sim flags size the study
+    for flags in (["--nu", "0.5"], ["--max-depth", "3"], ["--lambda", "5"], ["--rho", "0.5"],
+                  ["--rho-knn", "3"], ["--rho-slow"], ["--replications", "3"], ["--n", "50"],
+                  ["--learner", "tree"]):
+        assert run_cli(data_mode + flags) == 1, flags
+    # the study races the --methods learners on unstandardized draws
+    for flags in (["--learner", "tree"], ["--no-standardize"], ["--task", "regression"],
+                  ["--splits", "3"], ["--fix-nu", "0.1"]):
+        assert run_cli(sim_mode + flags) == 1, flags
+    err = capsys.readouterr().err
+    assert "--data mode takes no --nu" in err and "--sim mode takes no --task" in err
+    assert not out.exists()
 
 
 def test_benchmark_sim_manifest_records_the_fitted_config(tmp_path, capsys):

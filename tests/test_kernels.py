@@ -17,13 +17,18 @@ from ktboost import (
     fit_kernel_newton,
     identity_standardizer,
     kernel_matrix,
-    nystrom_gram,
     nystrom_indices,
     predict,
     select_rho,
 )
 from ktboost.kernels import DECAY01, factorize_spd
-from oracles import gaussian_kernel, oracle_kernel_alpha, oracle_kernel_matrix, oracle_kernel_objective
+from oracles import (
+    gaussian_kernel,
+    nystrom_gram,
+    oracle_kernel_alpha,
+    oracle_kernel_matrix,
+    oracle_kernel_objective,
+)
 
 
 def _instance(rng, n=20, p=2, rho=1.0, lam=1.0):
@@ -38,8 +43,8 @@ def _exact_solver(x, config):
     return KernelSolver(x, gram, gram, config.lam)
 
 
-def _nystrom_solver(x, config):
-    indices = nystrom_indices(len(x), config.nystrom_samples, config.seed)
+def _nystrom_solver(x, config, seed=0):
+    indices = nystrom_indices(len(x), config.nystrom_samples, seed)
     return build_nystrom(x, indices, config)
 
 
@@ -249,8 +254,8 @@ def test_nystrom_full_sample_recovers_exact_fit():
 def test_nystrom_gram_is_low_rank_psd():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(35, 3))
-    config = KernelConfig(rho=1.0, lam=1.0, nystrom_samples=8, seed=1)
-    solver = _nystrom_solver(x, config)
+    config = KernelConfig(rho=1.0, lam=1.0, nystrom_samples=8)
+    solver = _nystrom_solver(x, config, seed=1)
     approx = nystrom_gram(solver)
     eigs = np.linalg.eigvalsh(approx)
     assert eigs.min() > -1e-8
@@ -271,7 +276,7 @@ def test_nystrom_error_shrinks_with_sample_count():
     for l in (4, 16, 60):
         per_seed = []
         for seed in range(10):
-            low = _nystrom_solver(x, KernelConfig(rho=1.0, lam=1.0, nystrom_samples=l, seed=seed))
+            low = _nystrom_solver(x, KernelConfig(rho=1.0, lam=1.0, nystrom_samples=l), seed)
             per_seed.append(np.mean((low.basis @ fit_kernel_newton(low, g, h) - target) ** 2))
         errs.append(np.mean(per_seed))
     assert errs[0] >= errs[1] >= errs[2]
@@ -282,8 +287,8 @@ def test_nystrom_gradient_cache_matches_fresh():
     rng = np.random.default_rng(15)
     x = rng.uniform(-2, 2, size=(80, 2))
     g = rng.normal(size=80)
-    config = KernelConfig(rho=1.0, lam=1.0, nystrom_samples=20, seed=5)
-    solver = _nystrom_solver(x, config)
+    config = KernelConfig(rho=1.0, lam=1.0, nystrom_samples=20)
+    solver = _nystrom_solver(x, config, seed=5)
     cache = build_gradient_cache(solver)
     ones = np.ones(80)
     a = fit_kernel_gradient(build_gradient_cache(solver), g, ones)
@@ -400,8 +405,9 @@ def test_kernel_config_validation():
         KernelConfig(rho=1.0, lam=-0.5)
     with pytest.raises(DataError):
         KernelConfig(rho=1.0, lam=1.0, nystrom_samples=0)
-    with pytest.raises(DataError):
-        KernelConfig(rho=1.0, lam=1.0, seed=-1)
+    for rho, lam in ((np.nan, 1.0), (1e-300, 1.0), (1e200, 1.0), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(DataError):
+            KernelConfig(rho=rho, lam=lam)
     config = KernelConfig(rho=1.0, lam=0.0)
     assert config.lam == 0.0
 
