@@ -180,6 +180,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--jobs", type=int, default=1,
                          help="parallel worker processes")
     p_bench.add_argument("--out", required=True, help="output directory")
+    # Both modes default to 1000 rounds, the grid's cap, where train keeps BoostConfig's 100.
     p_bench.set_defaults(func=cmd_benchmark, parser=p_bench, iterations=1000)
 
     return parser
@@ -325,9 +326,9 @@ def cmd_benchmark(args) -> int:
         }
     else:
         dataset = load_csv(args.data, task=args.task)
-        grid = GridSpec(max_iterations=args.iterations)
+        grid = GridSpec(max_iterations=config.iterations)
         if args.fix_nu is not None:
-            grid = GridSpec(nus=(args.fix_nu,), max_iterations=args.iterations)
+            grid = GridSpec(nus=(args.fix_nu,), max_iterations=config.iterations)
         rows = run_split_benchmark(
             dataset,
             os.path.basename(args.data),

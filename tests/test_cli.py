@@ -715,3 +715,35 @@ def test_benchmark_sim_manifest_records_the_fitted_config(tmp_path, capsys):
                                      selection="undamped", standardize=False,
                                      early_stopping_rounds=2)
         assert row["config"] == dataclasses.asdict(expected)
+
+
+def test_iteration_defaults(tmp_path, capsys, monkeypatch):
+    """train runs BoostConfig's 100 rounds; both benchmark modes cap at 1000."""
+    data_csv = _write_regression_csv(tmp_path / "d.csv", n=40)
+    assert run_cli(["train", "--data", str(data_csv), "--task", "regression", "--learner", "tree",
+                    "--out", str(tmp_path / "m.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["completed_iterations"] == 100
+
+    class Reached(Exception):
+        pass
+
+    seen = {}
+
+    def capture(name):
+        def run(*args, **kwargs):
+            seen[name] = (args, kwargs)
+            raise Reached
+        return run
+
+    monkeypatch.setattr(cli, "run_split_benchmark", capture("data"))
+    monkeypatch.setattr(cli, "run_simulation_study", capture("sim"))
+    for argv in (["--data", str(data_csv), "--task", "regression"],
+                 ["--data", str(data_csv), "--task", "regression", "--fix-nu", "0.5"],
+                 ["--sim", "--rho", "0.1"]):
+        with pytest.raises(Reached):
+            main(["benchmark", *argv, "--out", str(tmp_path / "bench")])
+        if argv[0] == "--data":
+            assert seen["data"][1]["grid"].max_iterations == 1000
+    assert seen["data"][1]["grid"].nus == (0.5,)
+    (config,), _ = seen["sim"]
+    assert config.iterations == 1000
