@@ -47,6 +47,7 @@ from .kernels import (
     check_ridge_settings,
     fit_kernel_gradient,
     fit_kernel_newton,
+    fitted_values,
     kernel_block_rows,
     kernel_matrix,
     nystrom_indices,
@@ -219,9 +220,10 @@ class _TreeCandidate:
 class _KernelCandidate:
     """One kernel ridge expansion per output, solved on the fit's one KernelSolver.
 
-    Exact mode's memory limit (the Gram matrix, its factor and the validation
-    rows' kernel matrix) is checked before select_rho's n-by-n distances.
-    ``config``, with the bandwidth fixed, is what a model with kernel rounds keeps.
+    Exact mode's memory limit (the set-up's peak of four n-by-n matrices and
+    the validation rows' kernel matrix) is checked before select_rho's n-by-n
+    distances. ``config``, with the bandwidth fixed, is what a model with
+    kernel rounds keeps.
     """
 
     tag = "kernel"
@@ -243,15 +245,18 @@ class _KernelCandidate:
             solver = build_nystrom(x, indices, self.config)
         self.val_kernel = None if xv is None else kernel_matrix(xv, solver.anchors, rho)
         # A constant Hessian (gradient mode, or the squared loss, whose
-        # Newton h is exactly one) gives the same system every round.
+        # Newton h is exactly one) gives the same system every round, which
+        # the fit solves once per round and output.
+        self.solve = fit_kernel_newton
         if not config.newton or loss.kind == "squared":
-            solver = build_gradient_cache(solver)
+            solver = build_gradient_cache(solver, config.iterations * loss.n_outputs)
+            self.solve = fit_kernel_gradient
         self.solver = solver
-        self.solve = fit_kernel_newton if solver.factor is None else fit_kernel_gradient
 
     def propose(self, g: np.ndarray, h: np.ndarray) -> tuple[list, np.ndarray]:
         alphas = [self.solve(self.solver, g[:, k], h[:, k]) for k in range(g.shape[1])]
-        return alphas, np.column_stack([self.solver.basis @ alpha for alpha in alphas])
+        return alphas, np.column_stack([fitted_values(self.solver, g[:, k], alpha)
+                                        for k, alpha in enumerate(alphas)])
 
     def validation(self, learners: list) -> np.ndarray:
         return np.column_stack([self.val_kernel @ alpha for alpha in learners])

@@ -10,13 +10,30 @@ the training rows. With D = diag(sqrt(h)) and y = -g/h the coefficients are
     alpha = D (D K D + lam I)^{-1} D y
 
 computed by Cholesky factorization. Whenever the Hessian is constant, the
-system matrix K + lam*I is iteration-independent, so one factorization is
-cached and reused for the whole fit: in gradient mode (h identically one)
-and for the squared loss in Newton mode, whose Hessian is exactly one too.
-Both modes build the system through the same code, so they give
-bit-identical coefficients for the squared loss. Exact mode holds two
-n-by-n matrices, plus the validation rows' kernel matrix against the n
-training rows, and refuses fits for which they would exceed
+system matrix K + lam*I is iteration-independent, so it is solved from one
+cache for the whole fit: in gradient mode (h identically one) and for the
+squared loss in Newton mode, whose Hessian is exactly one too. Both modes
+build the system through the same code, so they give bit-identical
+coefficients for the squared loss.
+
+Exact mode caches one of two, chosen by the fit's solve budget (rounds
+times outputs) against n:
+
+- below n / INVERSE_CROSSOVER solves, the Cholesky factor: each solve is
+  two triangular passes over it, and the fitted values K alpha one more
+  pass, over K;
+- from there on, the explicit inverse P = (K + (lam+eps) I)^{-1}, with eps
+  the jitter that factorize_spd had to add: each solve is one pass,
+  alpha = P (-g), and the fitted values K alpha = -g - (lam+eps) alpha
+  cost O(n). The one-off inverse costs about four factorizations, which
+  short fits do not earn back. The solver keeps neither K nor the factor
+  then.
+
+Nystrom mode always caches the factor (see build_gradient_cache).
+
+Exact mode's set-up holds four n-by-n matrices at its peak (see
+check_exact_gram_fits), plus the validation rows' kernel matrix against
+the n training rows, and refuses fits for which they would exceed
 EXACT_GRAM_LIMIT_BYTES. The Nystrom variant replaces K by the low-rank
 approximation C W^{-1} C^T built from l uniformly sampled rows (C the
 n-by-l cross matrix, W the l-by-l sample Gram matrix); substituting the
@@ -26,9 +43,10 @@ l-by-l system
     (lam W + C^T D^2 C) alpha = C^T (-g).
 
 A fit builds one KernelSolver, and that solver owns the cached
-unit-Hessian factor: build_gradient_cache adds it once per fit and
-fit_kernel_gradient solves with it, while fit_kernel_newton factorizes
-the Hessian-weighted system on every call.
+unit-Hessian factor or inverse: build_gradient_cache adds it once per fit,
+fit_kernel_gradient solves with it and fitted_values maps its
+coefficients to the training rows, while fit_kernel_newton factorizes the
+Hessian-weighted system on every call.
 """
 
 from __future__ import annotations
@@ -46,10 +64,19 @@ from .errors import DataError, NumericalError
 JITTER_START_EXP = -10
 JITTER_LIMIT_EXP = -4
 
-# Exact mode holds the n-by-n Gram matrix and its cached factor, 16*n^2
-# bytes, and the n_val-by-n validation kernel matrix, 8*n_val*n bytes;
-# larger fits must use Nystrom sampling.
+# Exact mode's set-up peaks at four n-by-n matrices, 32*n^2 bytes, next to
+# the n_val-by-n validation kernel matrix, 8*n_val*n bytes; larger fits
+# must use Nystrom sampling.
 EXACT_GRAM_LIMIT_BYTES = 4 * 2**30
+
+# An exact cached fit inverts K + lam*I once it has at least
+# n / INVERSE_CROSSOVER unit-Hessian solves to make. The inverse costs about
+# four factorizations and saves about two thirds of each round's time; at
+# 1 BLAS thread on a 2-core machine it paid for itself after 93, 101, 153,
+# 175 and 353 solves at n = 250, 500, 1000, 2000 and 5000. n/5 matches the
+# measurement at n = 500-1000 and errs towards the factor for larger n,
+# where an unearned inverse costs the most (5.3 s more at n = 5000).
+INVERSE_CROSSOVER = 5
 
 # Batch prediction builds the rows-by-anchors kernel matrix in row blocks
 # of at most this many bytes (8 per entry), so its memory does not grow
@@ -69,8 +96,14 @@ def check_ridge_settings(rho: float | None, lam: float) -> None:
     with a square that is finite and nonzero: kernel_matrix divides squared
     distances by rho squared, so a rho whose square underflows to 0 or
     overflows is no bandwidth at all. NaN fails every comparison, so both
-    tests refuse it.
+    tests refuse it. Both are compared as floats: a Python int compares
+    exactly, so 10**400 would pass as finite and overflow later.
     """
+    try:
+        rho = None if rho is None else float(rho)
+        lam = float(lam)
+    except OverflowError as exc:
+        raise DataError("rho and lambda must be finite") from exc
     if rho is not None and not (rho > 0 and 0 < rho * rho < np.inf):
         raise DataError("rho must be positive, with a finite and nonzero square")
     if not 0 <= lam < np.inf:
@@ -99,20 +132,26 @@ class KernelSolver:
     or the l sampled rows (Nystrom mode). ``basis`` maps alpha to the
     training fitted values: K (n-by-n) or the cross matrix C (n-by-l).
     ``gram`` is the matrix the system is built from: K itself in exact
-    mode, the sample Gram matrix W in Nystrom mode. ``factor`` is the
-    cached Cholesky factor of the unit-Hessian system, or None when every
-    solve factorizes its own Hessian-weighted system.
+    mode, the sample Gram matrix W in Nystrom mode. The unit-Hessian
+    system is cached as either ``factor``, its Cholesky factor, or, in
+    exact mode only, ``inverse``, the inverse of K + (lam + ``jitter``) I;
+    ``jitter`` is what factorize_spd added to the system's diagonal. Both
+    are None when every solve factorizes its own Hessian-weighted system.
+    A solver with an inverse reads K no more and holds neither basis nor
+    gram.
     """
 
     anchors: np.ndarray
-    basis: np.ndarray
-    gram: np.ndarray
+    basis: np.ndarray | None
+    gram: np.ndarray | None
     lam: float
     factor: tuple | None = None
+    inverse: np.ndarray | None = None
+    jitter: float = 0.0
 
     @property
     def exact(self) -> bool:
-        """Exact mode: the basis is the system's own Gram matrix K."""
+        """Exact mode: the basis is the system's own Gram matrix K (or both are dropped)."""
         return self.basis is self.gram
 
 
@@ -131,13 +170,14 @@ def cho_factor(matrix: np.ndarray) -> tuple:
     return np.linalg.cholesky(matrix).T, False
 
 
-def factorize_spd(matrix: np.ndarray):
-    """Cholesky with escalating diagonal jitter.
+def factorize_spd(matrix: np.ndarray) -> tuple[tuple, float]:
+    """Cholesky factor with escalating diagonal jitter, and the jitter it took.
 
     Adds 10^k * trace/dim to the diagonal for k = -10..-4 until the
-    factorization succeeds; past the limit the matrix is declared
-    numerically indefinite. The jitter goes onto the matrix's own diagonal,
-    which is restored on return, so the matrix is not copied here.
+    factorization succeeds and returns the factor with the jitter of that
+    attempt; past the limit the matrix is declared numerically indefinite.
+    The jitter goes onto the matrix's own diagonal, which is restored on
+    return, so the matrix is not copied here.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     dim = matrix.shape[0]
@@ -145,9 +185,10 @@ def factorize_spd(matrix: np.ndarray):
     diagonal = matrix.diagonal().copy()
     try:
         for exponent in range(JITTER_START_EXP, JITTER_LIMIT_EXP + 1):
-            matrix.flat[:: dim + 1] = diagonal + (10.0**exponent) * base
+            jitter = (10.0**exponent) * base
+            matrix.flat[:: dim + 1] = diagonal + jitter
             try:
-                return cho_factor(matrix)
+                return cho_factor(matrix), jitter
             except LinAlgError:
                 continue
     finally:
@@ -161,10 +202,16 @@ def factorize_spd(matrix: np.ndarray):
 def check_exact_gram_fits(n: int, n_validation: int = 0) -> None:
     """Raise DataError when the exact-mode kernel matrices exceed the limit.
 
-    They are the n-by-n Gram matrix and its factor, and the kernel matrix
-    of n_validation validation rows against the n training rows.
+    They are the kernel matrix of n_validation validation rows against the
+    n training rows, and four n-by-n matrices, the peak of every exact
+    set-up and solve. numpy's LAPACK calls copy their input into a buffer
+    of their own, beside the input and the output: the cached factor
+    holds K, the system K + lam*I, the Cholesky buffer and the factor,
+    and so does every Hessian-weighted solve; the cached inverse holds the
+    system (formed on K's own diagonal), the inverse's buffer for the
+    system and the identity, and the inverse.
     """
-    need = 16 * n * n + 8 * n_validation * n
+    need = 32 * n * n + 8 * n_validation * n
     if need > EXACT_GRAM_LIMIT_BYTES:
         rows = f"{n} training rows"
         if n_validation:
@@ -224,13 +271,17 @@ def _alpha(solver: KernelSolver, factor: tuple, g: np.ndarray, h: np.ndarray) ->
         alpha = s * cho_solve(factor, -g / s, check_finite=False)
     else:
         alpha = cho_solve(factor, solver.basis.T @ (-g), check_finite=False)
+    return _finite(alpha)
+
+
+def _finite(alpha: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(alpha)):
         raise DataError("non-finite kernel coefficients")
     return alpha
 
 
 def _targets(solver: KernelSolver, g, h) -> tuple[np.ndarray, np.ndarray]:
-    n = solver.basis.shape[0]
+    n = len(solver.anchors) if solver.basis is None else solver.basis.shape[0]
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     if g.shape != (n,) or h.shape != (n,):
@@ -238,16 +289,39 @@ def _targets(solver: KernelSolver, g, h) -> tuple[np.ndarray, np.ndarray]:
     return g, h
 
 
-def build_gradient_cache(solver: KernelSolver) -> KernelSolver:
-    """The solver with its unit-Hessian system factorized once.
+def build_gradient_cache(solver: KernelSolver, solves: int = 1) -> KernelSolver:
+    """The solver with its unit-Hessian system cached for ``solves`` solves.
 
-    The system is built by the Newton solve's formulas, which keeps the
-    cached path bit-identical to fit_kernel_newton with a unit Hessian
-    (C^T C as syrk, say, would round differently from the Hessian-weighted
-    product).
+    An exact solver with at least n / INVERSE_CROSSOVER solves to make
+    caches the inverse of K + (lam+eps) I, with eps the jitter that
+    factorize_spd adds to K + lam*I: the same matrix that the factor path
+    solves. The factorization is done only to learn eps, and its factor
+    is dropped before the inverse is built. K + lam*I is formed on K's own
+    diagonal, restored on return, so the set-up copies no n-by-n matrix,
+    and the returned solver holds neither K nor a factor.
+
+    Every other solver caches the Cholesky factor of its system. Nystrom
+    solvers always do: lam*W + C^T C inherits W's conditioning, and there
+    an inverse's fitted values C alpha lost three orders of magnitude
+    against the factor's, while C^T g and C alpha, not the l-by-l solve,
+    take most of each round. The system is built by the Newton solve's
+    formulas, which keeps the cached path bit-identical to
+    fit_kernel_newton with a unit Hessian (C^T C as syrk, say, would round
+    differently from the Hessian-weighted product).
     """
-    ones = np.ones(solver.basis.shape[0])
-    return replace(solver, factor=factorize_spd(_system(solver, ones)))
+    if solver.exact and INVERSE_CROSSOVER * solves >= len(solver.anchors):
+        k = solver.gram
+        diagonal = k.diagonal().copy()
+        try:
+            k.flat[:: len(k) + 1] = diagonal + solver.lam
+            jitter = factorize_spd(k)[1]
+            k.flat[:: len(k) + 1] += jitter
+            inverse = np.linalg.inv(k)
+        finally:
+            k.flat[:: len(k) + 1] = diagonal
+        return KernelSolver(solver.anchors, None, None, solver.lam, inverse=inverse, jitter=jitter)
+    factor, jitter = factorize_spd(_system(solver, np.ones(solver.basis.shape[0])))
+    return replace(solver, factor=factor, jitter=jitter)
 
 
 def fit_kernel_newton(solver: KernelSolver, g, h) -> np.ndarray:
@@ -258,24 +332,42 @@ def fit_kernel_newton(solver: KernelSolver, g, h) -> np.ndarray:
     build_gradient_cache instead.
     """
     g, h = _targets(solver, g, h)
+    if solver.gram is None:
+        raise DataError("solver holds a cached inverse in place of K; see build_gradient_cache")
     if np.any(h <= 0):
         raise DataError("Hessian-weighted solve needs strictly positive h")
-    return _alpha(solver, factorize_spd(_system(solver, h)), g, h)
+    factor, _ = factorize_spd(_system(solver, h))
+    return _alpha(solver, factor, g, h)
 
 
 def fit_kernel_gradient(solver: KernelSolver, g, h) -> np.ndarray:
-    """Alpha of the unit-Hessian system (K + lam I) alpha = -g, from the cached factor.
+    """Alpha of the unit-Hessian system (K + lam I) alpha = -g, from the cached solve.
 
-    h must be identically one. The result equals fit_kernel_newton's with
-    that h bit for bit, so this serves gradient mode and the squared loss
-    in Newton mode alike, without a factorization per call.
+    h must be identically one. With the cached factor the result equals
+    fit_kernel_newton's with that h bit for bit, so this serves gradient
+    mode and the squared loss in Newton mode alike, without a
+    factorization per call. With the cached inverse it is one product,
+    P (-g), which agrees with the factor's solve to rounding.
     """
     g, h = _targets(solver, g, h)
-    if solver.factor is None:
+    if solver.factor is None and solver.inverse is None:
         raise DataError("solver holds no cached factor; see build_gradient_cache")
     if np.any(h != 1.0):
         raise DataError("the cached factor serves a unit Hessian only")
+    if solver.inverse is not None:
+        return _finite(solver.inverse @ -g)
     return _alpha(solver, solver.factor, g, h)
+
+
+def fitted_values(solver: KernelSolver, g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The expansion's values at the training rows, for alpha solved from gradient g.
+
+    With a cached inverse, (K + (lam+eps) I) alpha = -g, so K alpha =
+    -g - (lam+eps) alpha in O(n); every other solver applies its basis.
+    """
+    if solver.inverse is not None:
+        return -g - (solver.lam + solver.jitter) * alpha
+    return solver.basis @ alpha
 
 
 def select_rho(features: np.ndarray, k: int, rho_mode: str = "decay01") -> float:

@@ -295,7 +295,8 @@ def oracle_kernel_objective(k, g, h, lam, alpha):
 def nystrom_gram(solver) -> np.ndarray:
     """The approximate Gram matrix C W^{-1} C^T (rank at most l) of a Nystrom solver."""
     c = solver.basis
-    return c @ cho_solve(factorize_spd(solver.gram), c.T, check_finite=False)
+    factor, _ = factorize_spd(solver.gram)
+    return c @ cho_solve(factor, c.T, check_finite=False)
 
 
 # -------------------------------------------------------------- simulation

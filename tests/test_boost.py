@@ -100,6 +100,10 @@ def test_boost_config_validation():
                 dict(rho=np.nan), dict(rho=np.inf), dict(rho=1e-300), dict(rho=1e200)):
         with pytest.raises(DataError):
             BoostConfig(learner="tree", **bad)
+    # a Python int too large for a float is no finite setting either
+    for bad in (dict(rho=10**400), dict(rho=1.0, lam=10**400)):
+        with pytest.raises(DataError, match="finite"):
+            BoostConfig(learner="kernel", **bad)
     # tree-only learner needs no bandwidth at all
     assert BoostConfig(learner="tree").rho is None
 
@@ -355,7 +359,9 @@ def test_exact_gram_over_limit_fails_before_allocating(monkeypatch):
     from ktboost import boost, kernels
 
     data = _regression_data(n=60, seed=32)
-    monkeypatch.setattr(kernels, "EXACT_GRAM_LIMIT_BYTES", 16 * 59 * 59)
+    # four n-by-n matrices at the set-up's peak, on the factor path (2
+    # rounds) and the inverse path (12 rounds, 60/5) alike
+    monkeypatch.setattr(kernels, "EXACT_GRAM_LIMIT_BYTES", 32 * 60 * 60 - 1)
 
     def n_by_n(*args, **kwargs):
         raise AssertionError("n-by-n allocation before the limit check")
@@ -366,27 +372,59 @@ def test_exact_gram_over_limit_fails_before_allocating(monkeypatch):
             mp.setattr(module, "kernel_matrix", n_by_n)
         for learner in ("ktboost", "kernel"):
             for rho in ({"rho_mode": "decay01"}, {"rho": 0.5}):
-                with pytest.raises(DataError, match="--nystrom"):
-                    fit(data, BoostConfig(iterations=2, learner=learner, **rho))
+                for iterations in (2, 12):
+                    with pytest.raises(DataError, match="--nystrom"):
+                        fit(data, BoostConfig(iterations=iterations, learner=learner, **rho))
     # tree-only and Nystrom fits hold no n-by-n matrix
     fit(data, BoostConfig(iterations=2, learner="tree"))
     fit(data, BoostConfig(iterations=2, learner="kernel", rho_mode="decay01", nystrom=10))
-    monkeypatch.setattr(kernels, "EXACT_GRAM_LIMIT_BYTES", 16 * 60 * 60)
+    monkeypatch.setattr(kernels, "EXACT_GRAM_LIMIT_BYTES", 32 * 60 * 60)
     fit(data, BoostConfig(iterations=2, learner="kernel", rho=0.5))
+    fit(data, BoostConfig(iterations=12, learner="kernel", rho=0.5))
 
     # the validation rows' 8 * 60 bytes each against the 60 anchors count too
     val = _regression_data(n=10, seed=33)
-    monkeypatch.setattr(kernels, "EXACT_GRAM_LIMIT_BYTES", 16 * 60 * 60 + 8 * 9 * 60)
+    monkeypatch.setattr(kernels, "EXACT_GRAM_LIMIT_BYTES", 32 * 60 * 60 + 8 * 9 * 60)
     with monkeypatch.context() as mp:
         for module in (boost, kernels):
             mp.setattr(module, "select_rho", n_by_n)
             mp.setattr(module, "kernel_matrix", n_by_n)
         for learner in ("ktboost", "kernel"):
             for rho in ({"rho_mode": "decay01"}, {"rho": 0.5}):
-                with pytest.raises(DataError, match="10 validation rows.*--nystrom"):
-                    fit(data, BoostConfig(iterations=2, learner=learner, **rho), val)
+                for iterations in (2, 12):
+                    with pytest.raises(DataError, match="10 validation rows.*--nystrom"):
+                        fit(data, BoostConfig(iterations=iterations, learner=learner, **rho), val)
     fit(data, BoostConfig(iterations=2, learner="kernel", rho=0.5, nystrom=10), val)
-    fit(data, BoostConfig(iterations=2, learner="kernel", rho=0.5), _regression_data(n=9, seed=33))
+    for iterations in (2, 12):
+        fit(data, BoostConfig(iterations=iterations, learner="kernel", rho=0.5),
+            _regression_data(n=9, seed=33))
+
+
+@pytest.mark.parametrize("task, newton, iterations", [
+    ("regression", False, 2),  # cached factor
+    ("regression", False, 60),  # cached inverse
+    ("binary", True, 2),  # Hessian-weighted factor every round
+])
+def test_exact_gram_limit_counts_the_set_up_peak(monkeypatch, task, newton, iterations):
+    # tracemalloc sees numpy's arrays but not LAPACK's own copy of its
+    # input, so the limit check must count more than the traced peak
+    import tracemalloc
+
+    from ktboost import kernels
+
+    n, n_val = 300, 100
+    data = _regression_data(n=n + n_val, seed=34) if task == "regression" else _binary_data(n + n_val)
+    train, val = data.subset(np.arange(n)), data.subset(np.arange(n, n + n_val))
+    config = BoostConfig(iterations=iterations, learner="kernel", newton=newton, rho=0.5)
+    tracemalloc.start()
+    try:
+        fit(train, config, val)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(kernels, "EXACT_GRAM_LIMIT_BYTES", peak - 1)
+    with pytest.raises(DataError, match="--nystrom"):
+        kernels.check_exact_gram_fits(n, n_val)
 
 
 def _count_factorizations(monkeypatch):
@@ -420,6 +458,79 @@ def test_logistic_newton_factorizes_every_round(monkeypatch):
     config = BoostConfig(iterations=10, learner="kernel", rho=1.0, lam=2.0)
     fit(_binary_data(seed=31), config)
     assert len(calls) == 10
+
+
+def _spy_gradient_cache(monkeypatch):
+    """The solvers fit's build_gradient_cache returns, and np.linalg.inv's call count."""
+    from ktboost import boost
+
+    built, inversions = [], []
+    real_cache, real_inv = boost.build_gradient_cache, np.linalg.inv
+
+    def cache(solver, solves):
+        built.append(real_cache(solver, solves))
+        return built[-1]
+
+    def inv(a):
+        inversions.append(a.shape)
+        return real_inv(a)
+
+    monkeypatch.setattr(boost, "build_gradient_cache", cache)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    return built, inversions
+
+
+@pytest.mark.parametrize("newton", [False, True])
+def test_fit_below_the_inverse_crossover_keeps_the_factor_path(monkeypatch, newton):
+    # 60 rows: 11 rounds are one below n/5, and fit the factor path bit for bit
+    from ktboost import boost
+
+    data, val = _regression_data(n=60, seed=35), _regression_data(n=20, seed=36)
+    config = BoostConfig(iterations=11, nu=0.3, newton=newton, max_depth=1, rho=0.1, lam=2.0)
+    real_cache = boost.build_gradient_cache
+    with monkeypatch.context() as mp:
+        mp.setattr(boost, "build_gradient_cache", lambda solver, solves: real_cache(solver))
+        factor_model, _ = fit(data, config, val)
+    built, inversions = _spy_gradient_cache(monkeypatch)
+    model, report = fit(data, config, val)
+    assert inversions == [] and built[0].factor is not None
+    assert set(report.chosen) == {"tree", "kernel"}
+    assert dumps(model) == dumps(factor_model)
+
+
+def test_fit_at_the_inverse_crossover_holds_neither_k_nor_factor(monkeypatch):
+    built, inversions = _spy_gradient_cache(monkeypatch)
+    config = BoostConfig(iterations=12, nu=0.3, newton=False, learner="kernel", rho=0.4, lam=0.5)
+    fit(_regression_data(n=60, seed=35), config)
+    assert inversions == [(60, 60)]
+    (solver,) = built
+    assert solver.basis is None and solver.gram is None and solver.factor is None
+    assert solver.inverse.shape == (60, 60)
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0])
+def test_multiclass_gradient_fit_shares_one_inverse(monkeypatch, lam):
+    # 3 outputs times 6 rounds reach 90/5 solves; each round's alphas and
+    # fitted values match a dense solve of K + (lam+eps) I, with one inverse
+    from oracles import oracle_kernel_matrix
+
+    built, inversions = _spy_gradient_cache(monkeypatch)
+    data = _multiclass_data()
+    config = BoostConfig(iterations=6, nu=0.5, newton=False, learner="kernel", rho=1.0,
+                         lam=lam, standardize=False)
+    model, report = fit(data, config)
+    assert inversions == [(90, 90)]
+    eps = built[0].jitter
+    k = oracle_kernel_matrix(data.features, data.features, 1.0)
+    system = k + (lam + eps) * np.eye(90)
+    loss = for_task("multiclass", 3)
+    scores = np.tile(optimal_constant(loss, data.targets), (90, 1))
+    for m, it in enumerate(model.iterations):
+        gh = gradient_hessian(loss, data.targets, scores, newton=False)
+        ref = np.linalg.solve(system, -gh.g)
+        assert np.max(np.abs(np.column_stack(it.learners) - ref)) < 1e-7
+        scores = scores + 0.5 * (k @ ref)
+        assert np.isclose(report.train_risk[m], empirical_risk(loss, data.targets, scores), rtol=1e-10)
 
 
 def test_tree_candidate_reads_training_rows_from_the_leaf_index(monkeypatch):

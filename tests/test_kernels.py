@@ -21,7 +21,7 @@ from ktboost import (
     predict,
     select_rho,
 )
-from ktboost.kernels import DECAY01, factorize_spd
+from ktboost.kernels import DECAY01, INVERSE_CROSSOVER, factorize_spd, fitted_values
 from oracles import (
     gaussian_kernel,
     nystrom_gram,
@@ -159,6 +159,69 @@ def test_gradient_cache_reuse_is_exact():
         fit_kernel_gradient(build_gradient_cache(solver), g2, ones),
         fit_kernel_gradient(cache, g2, ones),
     )
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0])
+def test_cached_inverse_matches_dense_oracle(lam):
+    # from n/5 solves on, the cache is the inverse of K + (lam+eps) I, with
+    # eps the factorization's jitter, and the fitted values are O(n)
+    rng = np.random.default_rng(20)
+    n = 40
+    x, g, _, config = _instance(rng, n, 2, rho=1.0, lam=lam)
+    ones = np.ones(n)
+    solver = _exact_solver(x, config)
+    gram = solver.gram.copy()
+    below = build_gradient_cache(solver, n // INVERSE_CROSSOVER - 1)
+    assert below.factor is not None and below.inverse is None and below.basis is solver.basis
+    cache = build_gradient_cache(solver, n // INVERSE_CROSSOVER)
+    assert cache.factor is None and cache.basis is None and cache.gram is None
+    assert np.array_equal(solver.gram, gram)  # lam and eps went onto K only while inverting
+    assert cache.jitter == below.jitter == 10.0**-10 * (float(np.trace(gram + lam * np.eye(n))) / n)
+    alpha = fit_kernel_gradient(cache, g, ones)
+    ref = oracle_kernel_alpha(x, g, ones, config.rho, lam + cache.jitter)
+    k = oracle_kernel_matrix(x, x, config.rho)
+    assert np.max(np.abs(alpha - ref)) < 1e-7
+    assert np.max(np.abs(fitted_values(cache, g, alpha) - k @ ref)) < 1e-7
+    # the factor path solves the same jittered system
+    assert np.max(np.abs(fit_kernel_gradient(below, g, ones) - ref)) < 1e-7
+    assert np.array_equal(fitted_values(below, g, ref), gram @ ref)
+
+
+def test_cached_inverse_solves_the_jittered_system():
+    # K has an eigenvalue 5e-7 below -lam, so K + lam*I is indefinite and
+    # factorizes only with jitter 10^-6 * trace/dim; g has a small part
+    # along that eigenvector, whose coefficient then depends on the jitter
+    rng = np.random.default_rng(21)
+    dim, lam = 30, 0.25
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    eigs = np.concatenate([[-lam - 5e-7], rng.uniform(0.5, 1.5, dim - 1)])
+    k = (q * eigs) @ q.T
+    k = (k + k.T) / 2
+    g = q @ np.concatenate([[1e-6], rng.normal(size=dim - 1)])
+    system = k + lam * np.eye(dim)
+    solver = KernelSolver(rng.normal(size=(dim, 2)), k, k, lam)
+    cache = build_gradient_cache(solver, dim)
+    assert cache.jitter == 10.0**-6 * (float(np.trace(system)) / dim)
+    jittered = system + cache.jitter * np.eye(dim)
+    alpha = fit_kernel_gradient(cache, g, np.ones(dim))
+    ref = np.linalg.solve(jittered, -g)
+    assert abs(q[:, 0] @ ref) > 0.5  # the near-null coefficient is not small
+    assert np.max(np.abs(alpha - ref)) < 1e-7
+    assert np.max(np.abs(fitted_values(cache, g, alpha) - k @ alpha)) < 1e-7
+
+
+def test_nystrom_cache_keeps_the_factor():
+    # lam*W + C^T C inherits W's conditioning, where an explicit inverse
+    # loses accuracy, so any solve budget keeps the factor
+    rng = np.random.default_rng(22)
+    x = rng.uniform(-2, 2, size=(60, 2))
+    g = rng.normal(size=60)
+    solver = _nystrom_solver(x, KernelConfig(rho=1.0, lam=0.01, nystrom_samples=60))
+    cache = build_gradient_cache(solver, 1000)
+    assert cache.inverse is None and cache.basis is solver.basis
+    alpha = fit_kernel_gradient(cache, g, np.ones(60))
+    assert np.array_equal(alpha, fit_kernel_gradient(build_gradient_cache(solver), g, np.ones(60)))
+    assert np.array_equal(fitted_values(cache, g, alpha), solver.basis @ alpha)
 
 
 def test_alpha_norm_shrinks_with_lambda():
@@ -320,15 +383,19 @@ def test_factorize_spd_plain_and_jittered():
     a = rng.normal(size=(6, 6))
     spd = a @ a.T + 6 * np.eye(6)
     original = spd.copy()
-    factor = factorize_spd(spd)
+    factor, jitter = factorize_spd(spd)
     b = rng.normal(size=6)
     assert np.allclose(cho_solve(factor, b), np.linalg.solve(spd, b), atol=1e-8)
+    # the first attempt's jitter, 10^-10 * trace/dim, is always added
+    assert jitter == 10.0**-10 * (float(np.trace(spd)) / 6)
     # the jitter goes onto the input's diagonal only while factorizing
     assert np.array_equal(spd, original)
-    # tiny negative eigenvalue: jitter escalation rescues the factorization
+    # tiny negative eigenvalue: jitter escalation rescues the factorization,
+    # at 10^-8 * trace/dim, the first jitter above 1e-9
     nearly = np.diag([1.0, 1.0, -1e-9])
-    factor = factorize_spd(nearly)
+    factor, jitter = factorize_spd(nearly)
     assert np.all(np.isfinite(factor[0]))
+    assert jitter == 10.0**-8 * (float(np.trace(nearly)) / 3)
     assert np.array_equal(nearly, np.diag([1.0, 1.0, -1e-9]))
 
 
@@ -405,7 +472,8 @@ def test_kernel_config_validation():
         KernelConfig(rho=1.0, lam=-0.5)
     with pytest.raises(DataError):
         KernelConfig(rho=1.0, lam=1.0, nystrom_samples=0)
-    for rho, lam in ((np.nan, 1.0), (1e-300, 1.0), (1e200, 1.0), (1.0, np.nan), (1.0, np.inf)):
+    for rho, lam in ((np.nan, 1.0), (1e-300, 1.0), (1e200, 1.0), (1.0, np.nan), (1.0, np.inf),
+                     (10**400, 1.0), (1.0, 10**400)):
         with pytest.raises(DataError):
             KernelConfig(rho=rho, lam=lam)
     config = KernelConfig(rho=1.0, lam=0.0)
@@ -426,3 +494,12 @@ def test_kernel_solve_validation():
         fit_kernel_gradient(solver, ones, ones)
     with pytest.raises(DataError, match="unit Hessian"):
         fit_kernel_gradient(cache, ones, np.full(3, 0.5))
+    inverse = build_gradient_cache(solver, 3)
+    with pytest.raises(DataError, match="length mismatch"):
+        fit_kernel_gradient(inverse, np.ones(4), np.ones(4))
+    with pytest.raises(DataError, match="non-finite kernel coefficients"):
+        fit_kernel_gradient(inverse, np.array([1.0, np.nan, 0.0]), ones)
+    with pytest.raises(DataError, match="unit Hessian"):
+        fit_kernel_gradient(inverse, ones, np.full(3, 0.5))
+    with pytest.raises(DataError, match="cached inverse"):
+        fit_kernel_newton(inverse, ones, ones)
