@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit, softmax
 
-from .data import TASKS, Dataset, Standardizer, fit_standardizer, identity_standardizer
+from .data import TASKS, Dataset, Standardizer, check_count, fit_standardizer, identity_standardizer
 from .errors import DataError, ModelFormatError, NumericalError
 from .kernels import (
     RHO_MODES,
@@ -73,7 +73,8 @@ class BoostConfig:
     (neighbor-distance heuristic, see kernels.select_rho) must be set when
     kernel learners are enabled. ``early_stopping_rounds`` stops training
     once the validation risk has not improved for that many iterations;
-    fit refuses it without validation data.
+    fit refuses it without validation data. Counts, the seed included, must
+    be ints or numpy integers, not bools.
     """
 
     iterations: int = 100
@@ -93,14 +94,16 @@ class BoostConfig:
     early_stopping_rounds: int | None = None
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise DataError("iterations must be at least 1")
+        for name, minimum in (("iterations", 1), ("max_depth", 0), ("min_samples_leaf", 1),
+                              ("rho_knn", 1), ("seed", 0)):
+            check_count(getattr(self, name), name, minimum)
+        for name in ("nystrom", "early_stopping_rounds"):
+            if getattr(self, name) is not None:
+                check_count(getattr(self, name), name, 1)
         if not 0 < self.nu <= 1:
             raise DataError("shrinkage nu must lie in (0, 1]")
         if self.learner not in LEARNER_CHOICES:
             raise DataError(f"unknown learner {self.learner!r}")
-        if self.max_depth < 0 or self.min_samples_leaf < 1:
-            raise DataError("invalid tree constraints")
         if self.selection not in SELECTION_MODES:
             raise DataError(f"unknown selection mode {self.selection!r}")
         if self.rho is not None and self.rho_mode is not None:
@@ -108,14 +111,6 @@ class BoostConfig:
         if self.rho_mode is not None and self.rho_mode not in RHO_MODES:
             raise DataError(f"unknown rho mode {self.rho_mode!r}")
         check_ridge_settings(self.rho, self.lam)
-        if self.rho_knn < 1:
-            raise DataError("rho_knn must be at least 1")
-        if self.nystrom is not None and self.nystrom < 1:
-            raise DataError("nystrom sample count must be at least 1")
-        if self.seed < 0:
-            raise DataError("seed must be nonnegative")
-        if self.early_stopping_rounds is not None and self.early_stopping_rounds < 1:
-            raise DataError("early_stopping_rounds must be at least 1")
         if self.learner != "tree" and self.rho is None and self.rho_mode is None:
             raise DataError("kernel learners need rho or rho_mode")
 
@@ -157,6 +152,10 @@ class Ensemble:
             raise DataError("f0 must be a finite vector")
         if not 0 < self.nu <= 1:
             raise DataError("shrinkage nu must lie in (0, 1]")
+        if (self.anchors is None or self.kernel_config is None) and any(
+            it.tag == "kernel" for it in self.iterations
+        ):
+            raise DataError("kernel rounds need anchors and a kernel_config")
 
     @property
     def n_features(self) -> int:
@@ -356,7 +355,8 @@ def fit(
 
 def truncate(ensemble: Ensemble, n_iterations: int) -> Ensemble:
     """A view of the ensemble keeping only the first n_iterations rounds."""
-    if not 0 <= n_iterations <= ensemble.n_iterations:
+    check_count(n_iterations, "n_iterations", 0)
+    if n_iterations > ensemble.n_iterations:
         raise DataError(f"cannot truncate to {n_iterations} iterations")
     return replace(ensemble, iterations=list(ensemble.iterations[:n_iterations]))
 
@@ -367,14 +367,21 @@ def predict(ensemble: Ensemble, features: np.ndarray, truncate_at: int | None = 
     The alphas of all kernel rounds are summed first, so the kernel part is
     one kernel matrix product whatever the iteration count. That matrix is
     built in row blocks of at most kernels.KERNEL_BLOCK_LIMIT_BYTES.
+    ``features`` is one row or a matrix of numbers.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    try:
+        x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"features must be numeric: {exc}") from exc
+    if x.ndim != 2:
+        raise DataError(f"features must be a row or a 2-D matrix, got {x.ndim} dimensions")
     xs = ensemble.standardizer.transform(x)
     scores = np.tile(ensemble.f0, (xs.shape[0], 1))
     if truncate_at is None:
         rounds = ensemble.iterations
     else:
-        if not 0 <= truncate_at <= ensemble.n_iterations:
+        check_count(truncate_at, "truncate_at", 0)
+        if truncate_at > ensemble.n_iterations:
             raise DataError(f"truncate_at {truncate_at} outside 0..{ensemble.n_iterations}")
         rounds = ensemble.iterations[:truncate_at]
 

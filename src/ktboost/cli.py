@@ -317,7 +317,6 @@ def cmd_benchmark(args) -> int:
             **_given(replications=args.replications, n=args.n),
         )
         rows = study.manifest_rows()
-        results = {"sim-jumps": {m: study.test_mse[m].tolist() for m in methods}}
         emit_traces(study.pointwise_rows(), os.path.join(args.out, "pointwise.csv"), x_label="x")
         summary = {
             "mean_test_mse": {m: float(np.mean(study.test_mse[m])) for m in methods},
@@ -339,7 +338,6 @@ def cmd_benchmark(args) -> int:
             base=config,
             **_given(splits=args.splits),
         )
-        results = rows_to_results(rows)
         summary = {
             "mean_test_metric": {
                 m: float(np.mean([r["test_metric"] for r in rows if r["method"] == m]))
@@ -350,7 +348,7 @@ def cmd_benchmark(args) -> int:
     with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write(_canonical_json(rows))
         fh.write("\n")
-    table = build_comparison(results, methods=list(methods))
+    table = build_comparison(rows_to_results(rows), methods=list(methods))
     comparison_csv(table, table_path)
     if len(methods) > 1 and len(table.datasets) > 1:
         summary["sign_tests_vs_" + methods[0]] = {
@@ -367,10 +365,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

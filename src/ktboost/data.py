@@ -15,6 +15,12 @@ TASKS = ("regression", "binary", "multiclass")
 SCALE_FLOOR = 1e-12
 
 
+def check_count(value, name: str, minimum: int) -> None:
+    """Raise DataError unless value is an int or numpy integer, not a bool, of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise DataError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr)
     arr.flags.writeable = False

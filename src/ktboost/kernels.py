@@ -12,12 +12,12 @@ the training rows. With D = diag(sqrt(h)) and y = -g/h the coefficients are
 computed by Cholesky factorization. Whenever the Hessian is constant, the
 system matrix K + lam*I is iteration-independent, so it is solved from one
 cache for the whole fit: in gradient mode (h identically one) and for the
-squared loss in Newton mode, whose Hessian is exactly one too. Both modes
-build the system through the same code, so they give bit-identical
-coefficients for the squared loss.
+squared loss in Newton mode, whose Hessian is exactly one too. With
+h = 1, D K D and D y are K and y bit for bit, so both modes give
+bit-identical coefficients for the squared loss.
 
-Exact mode caches one of two, chosen by the fit's solve budget (rounds
-times outputs) against n:
+Exact mode factorizes K + lam*I once and keeps one of two, chosen by the
+fit's solve budget (rounds times outputs) against n:
 
 - below n / INVERSE_CROSSOVER solves, the Cholesky factor: each solve is
   two triangular passes over it, and the fitted values K alpha one more
@@ -29,9 +29,9 @@ times outputs) against n:
   short fits do not earn back. The solver keeps neither K nor the factor
   then.
 
-Nystrom mode always caches the factor (see build_gradient_cache).
+Nystrom mode always keeps the factor (see build_gradient_cache).
 
-Exact mode's set-up holds four n-by-n matrices at its peak (see
+Exact mode's solves hold up to four n-by-n matrices (see
 check_exact_gram_fits), plus the validation rows' kernel matrix against
 the n training rows, and refuses fits for which they would exceed
 EXACT_GRAM_LIMIT_BYTES. The Nystrom variant replaces K by the low-rank
@@ -57,6 +57,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve
 from scipy.spatial.distance import cdist
 
+from .data import check_count
 from .errors import DataError, NumericalError
 
 # Diagonal jitter added before any Cholesky of a kernel-derived matrix,
@@ -120,8 +121,8 @@ class KernelConfig:
 
     def __post_init__(self):
         check_ridge_settings(self.rho, self.lam)
-        if self.nystrom_samples is not None and self.nystrom_samples < 1:
-            raise DataError("nystrom sample count must be at least 1")
+        if self.nystrom_samples is not None:
+            check_count(self.nystrom_samples, "nystrom sample count", 1)
 
 
 @dataclass(frozen=True)
@@ -203,13 +204,12 @@ def check_exact_gram_fits(n: int, n_validation: int = 0) -> None:
     """Raise DataError when the exact-mode kernel matrices exceed the limit.
 
     They are the kernel matrix of n_validation validation rows against the
-    n training rows, and four n-by-n matrices, the peak of every exact
-    set-up and solve. numpy's LAPACK calls copy their input into a buffer
-    of their own, beside the input and the output: the cached factor
-    holds K, the system K + lam*I, the Cholesky buffer and the factor,
-    and so does every Hessian-weighted solve; the cached inverse holds the
-    system (formed on K's own diagonal), the inverse's buffer for the
-    system and the identity, and the inverse.
+    n training rows, and four n-by-n matrices, the peak of the exact solves.
+    numpy's LAPACK calls copy their input into a buffer of their own,
+    beside the input and the output: a Hessian-weighted solve holds K, the
+    system, the Cholesky buffer and the factor; the cached inverse holds K,
+    the inverse's buffer for K and the identity, and the inverse. The
+    cached factor holds three: K, the Cholesky buffer and the factor.
     """
     need = 32 * n * n + 8 * n_validation * n
     if need > EXACT_GRAM_LIMIT_BYTES:
@@ -264,16 +264,6 @@ def _system(solver: KernelSolver, h: np.ndarray) -> np.ndarray:
     return solver.lam * solver.gram + c.T @ (c * h[:, None])
 
 
-def _alpha(solver: KernelSolver, factor: tuple, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Coefficients from a factor of the system for Hessian h."""
-    if solver.exact:
-        s = np.sqrt(h)
-        alpha = s * cho_solve(factor, -g / s, check_finite=False)
-    else:
-        alpha = cho_solve(factor, solver.basis.T @ (-g), check_finite=False)
-    return _finite(alpha)
-
-
 def _finite(alpha: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(alpha)):
         raise DataError("non-finite kernel coefficients")
@@ -292,35 +282,36 @@ def _targets(solver: KernelSolver, g, h) -> tuple[np.ndarray, np.ndarray]:
 def build_gradient_cache(solver: KernelSolver, solves: int = 1) -> KernelSolver:
     """The solver with its unit-Hessian system cached for ``solves`` solves.
 
-    An exact solver with at least n / INVERSE_CROSSOVER solves to make
-    caches the inverse of K + (lam+eps) I, with eps the jitter that
-    factorize_spd adds to K + lam*I: the same matrix that the factor path
-    solves. The factorization is done only to learn eps, and its factor
-    is dropped before the inverse is built. K + lam*I is formed on K's own
-    diagonal, restored on return, so the set-up copies no n-by-n matrix,
-    and the returned solver holds neither K nor a factor.
+    An exact solver forms K + lam*I on K's own diagonal, restored on
+    return, so the set-up copies no n-by-n matrix, and factorizes it once.
+    Below n / INVERSE_CROSSOVER solves it keeps that factor; from there on
+    the inverse of K + (lam+eps) I, with eps the jitter that factorize_spd
+    added, built after the factor is dropped. That solver holds neither K
+    nor a factor.
 
-    Every other solver caches the Cholesky factor of its system. Nystrom
-    solvers always do: lam*W + C^T C inherits W's conditioning, and there
-    an inverse's fitted values C alpha lost three orders of magnitude
-    against the factor's, while C^T g and C alpha, not the l-by-l solve,
-    take most of each round. The system is built by the Newton solve's
-    formulas, which keeps the cached path bit-identical to
-    fit_kernel_newton with a unit Hessian (C^T C as syrk, say, would round
-    differently from the Hessian-weighted product).
+    Nystrom solvers always keep the factor: lam*W + C^T C inherits W's
+    conditioning, and there an inverse's fitted values C alpha lost three
+    orders of magnitude against the factor's, while C^T g and C alpha, not
+    the l-by-l solve, take most of each round. Their system is built by
+    the Newton solve's formula, which keeps the cached path bit-identical
+    to fit_kernel_newton with a unit Hessian (C^T C as syrk, say, would
+    round differently from the Hessian-weighted product).
     """
-    if solver.exact and INVERSE_CROSSOVER * solves >= len(solver.anchors):
-        k = solver.gram
-        diagonal = k.diagonal().copy()
-        try:
-            k.flat[:: len(k) + 1] = diagonal + solver.lam
-            jitter = factorize_spd(k)[1]
+    if not solver.exact:
+        factor, jitter = factorize_spd(_system(solver, np.ones(solver.basis.shape[0])))
+        return replace(solver, factor=factor, jitter=jitter)
+    k = solver.gram
+    diagonal = k.diagonal().copy()
+    try:
+        k.flat[:: len(k) + 1] = diagonal + solver.lam
+        factor, jitter = factorize_spd(k)
+        if INVERSE_CROSSOVER * solves >= len(k):
+            del factor
             k.flat[:: len(k) + 1] += jitter
-            inverse = np.linalg.inv(k)
-        finally:
-            k.flat[:: len(k) + 1] = diagonal
-        return KernelSolver(solver.anchors, None, None, solver.lam, inverse=inverse, jitter=jitter)
-    factor, jitter = factorize_spd(_system(solver, np.ones(solver.basis.shape[0])))
+            return KernelSolver(solver.anchors, None, None, solver.lam,
+                                inverse=np.linalg.inv(k), jitter=jitter)
+    finally:
+        k.flat[:: len(k) + 1] = diagonal
     return replace(solver, factor=factor, jitter=jitter)
 
 
@@ -337,7 +328,10 @@ def fit_kernel_newton(solver: KernelSolver, g, h) -> np.ndarray:
     if np.any(h <= 0):
         raise DataError("Hessian-weighted solve needs strictly positive h")
     factor, _ = factorize_spd(_system(solver, h))
-    return _alpha(solver, factor, g, h)
+    if solver.exact:
+        s = np.sqrt(h)
+        return _finite(s * cho_solve(factor, -g / s, check_finite=False))
+    return _finite(cho_solve(factor, solver.basis.T @ (-g), check_finite=False))
 
 
 def fit_kernel_gradient(solver: KernelSolver, g, h) -> np.ndarray:
@@ -356,7 +350,8 @@ def fit_kernel_gradient(solver: KernelSolver, g, h) -> np.ndarray:
         raise DataError("the cached factor serves a unit Hessian only")
     if solver.inverse is not None:
         return _finite(solver.inverse @ -g)
-    return _alpha(solver, solver.factor, g, h)
+    rhs = -g if solver.exact else solver.basis.T @ (-g)
+    return _finite(cho_solve(solver.factor, rhs, check_finite=False))
 
 
 def fitted_values(solver: KernelSolver, g: np.ndarray, alpha: np.ndarray) -> np.ndarray:

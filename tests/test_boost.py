@@ -104,6 +104,19 @@ def test_boost_config_validation():
     for bad in (dict(rho=10**400), dict(rho=1.0, lam=10**400)):
         with pytest.raises(DataError, match="finite"):
             BoostConfig(learner="kernel", **bad)
+    # every count is an int or numpy integer, not a bool or a float, at or
+    # above its minimum
+    for bad in (dict(iterations=2.5), dict(iterations="3"), dict(iterations=True),
+                dict(iterations=None), dict(max_depth=2.5), dict(max_depth=-1),
+                dict(min_samples_leaf=1.5), dict(min_samples_leaf=0), dict(rho_knn=2.5),
+                dict(rho_knn=0), dict(nystrom=5.5), dict(nystrom=0), dict(seed=1.5),
+                dict(seed=False), dict(early_stopping_rounds=1.5),
+                dict(early_stopping_rounds=np.int64(0))):
+        with pytest.raises(DataError, match="must be an integer of at least"):
+            BoostConfig(learner="tree", **bad)
+    config = BoostConfig(learner="tree", iterations=np.int64(3), max_depth=np.int32(0),
+                         seed=np.uint8(7), nystrom=np.int64(5), early_stopping_rounds=2)
+    assert config.iterations == 3 and config.max_depth == 0
     # tree-only learner needs no bandwidth at all
     assert BoostConfig(learner="tree").rho is None
 
@@ -648,6 +661,13 @@ def test_truncate_bounds():
         truncate(ens, -1)
     with pytest.raises(DataError):
         predict(ens, data.features, truncate_at=5)
+    for bad in (2.5, "2", True, -1):
+        with pytest.raises(DataError, match="truncate_at must be an integer"):
+            predict(ens, data.features, truncate_at=bad)
+        with pytest.raises(DataError, match="n_iterations must be an integer"):
+            truncate(ens, bad)
+    assert np.array_equal(predict(ens, data.features, truncate_at=np.int64(2)),
+                          predict(truncate(ens, 2), data.features))
 
 
 # ------------------------------------------------------------ multiclass
@@ -698,6 +718,30 @@ def test_predict_rejects_non_finite_features():
         for scorer in (predict, predict_proba, predict_labels):
             with pytest.raises(DataError, match="feature column 1 holds a non-finite value"):
                 scorer(ens, rows)
+
+
+def test_predict_rejects_malformed_features():
+    data = _binary_data()
+    ens, _ = fit(data, BoostConfig(iterations=5, nu=0.3, rho=1.0))
+    with pytest.raises(DataError, match="2-D matrix"):
+        predict(ens, data.features[None])
+    for bad in ([["a", "b"]], [[0.1, {}]], [[0.1, 0.2], [0.3]]):
+        with pytest.raises(DataError, match="numeric"):
+            predict(ens, bad)
+    # one row may be given as a vector
+    assert np.array_equal(predict(ens, data.features[0]), predict(ens, data.features[:1]))
+
+
+def test_ensemble_refuses_kernel_rounds_without_a_basis():
+    data = _regression_data()
+    ens, report = fit(data, BoostConfig(iterations=4, learner="kernel", rho=0.5))
+    assert report.chosen == ["kernel"] * 4
+    for missing in (dict(anchors=None), dict(kernel_config=None)):
+        with pytest.raises(DataError, match="kernel rounds need anchors"):
+            dataclasses.replace(ens, **missing)
+    # a tree-only model needs neither
+    trees, _ = fit(data, BoostConfig(iterations=2, learner="tree"))
+    assert trees.anchors is None and trees.kernel_config is None
 
 
 def test_predict_rejects_standardization_overflow():

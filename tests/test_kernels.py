@@ -210,6 +210,46 @@ def test_cached_inverse_solves_the_jittered_system():
     assert np.max(np.abs(fitted_values(cache, g, alpha) - k @ alpha)) < 1e-7
 
 
+def test_cached_factor_set_up_copies_no_system():
+    # K + lam*I is formed on K's own diagonal, so the traced peak is the
+    # factor alone; building the system as a new matrix would add one n-by-n
+    # (tracemalloc sees numpy's arrays, not LAPACK's own copy of its input)
+    import tracemalloc
+
+    n = 400
+    x = np.random.default_rng(23).uniform(-2, 2, size=(n, 2))
+    solver = _exact_solver(x, KernelConfig(rho=1.0, lam=0.5))
+    tracemalloc.start()
+    try:
+        cache = build_gradient_cache(solver, solves=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cache.factor is not None
+    assert peak <= 1.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_gradient_cache_restores_k(below):
+    # both branches put lam and the jitter onto K's diagonal while they
+    # factorize, and give K back bit for bit, also when the factorization fails
+    rng = np.random.default_rng(24)
+    n = 30
+    solves = 1 if below else n
+    x = rng.uniform(-2, 2, size=(n, 2))
+    solver = _exact_solver(x, KernelConfig(rho=1.0, lam=0.1))
+    gram = solver.gram.copy()
+    cache = build_gradient_cache(solver, solves)
+    assert (cache.inverse is None) == below
+    assert np.array_equal(solver.gram, gram)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    indefinite = (q * np.concatenate([[-1.0], np.ones(n - 1)])) @ q.T
+    before = indefinite.copy()
+    with pytest.raises(NumericalError):
+        build_gradient_cache(KernelSolver(x, indefinite, indefinite, 0.0), solves)
+    assert np.array_equal(indefinite, before)
+
+
 def test_nystrom_cache_keeps_the_factor():
     # lam*W + C^T C inherits W's conditioning, where an explicit inverse
     # loses accuracy, so any solve budget keeps the factor
@@ -470,8 +510,10 @@ def test_kernel_config_validation():
         KernelConfig(rho=np.inf, lam=1.0)
     with pytest.raises(DataError):
         KernelConfig(rho=1.0, lam=-0.5)
-    with pytest.raises(DataError):
-        KernelConfig(rho=1.0, lam=1.0, nystrom_samples=0)
+    for samples in (0, 2.5, "5", True):
+        with pytest.raises(DataError, match="nystrom sample count must be an integer"):
+            KernelConfig(rho=1.0, lam=1.0, nystrom_samples=samples)
+    assert KernelConfig(rho=1.0, lam=1.0, nystrom_samples=np.int64(5)).nystrom_samples == 5
     for rho, lam in ((np.nan, 1.0), (1e-300, 1.0), (1e200, 1.0), (1.0, np.nan), (1.0, np.inf),
                      (10**400, 1.0), (1.0, 10**400)):
         with pytest.raises(DataError):
