@@ -15,12 +15,15 @@ Validation data, when supplied, is scored after every iteration; the
 report marks the risk-argmin iteration, which is how the iteration count
 is tuned downstream.
 
-Models persist as canonical JSON (format version 3: sorted keys, compact
+Models persist as canonical JSON (format version 4: sorted keys, compact
 separators), so identical models serialize to identical bytes. Scalars
 are JSON numbers; every array is base64 of its little-endian float64 or
 int32 bytes, so floats round-trip exactly. All trees share one block of
-concatenated preorder node arrays (see trees.py) and all kernel rounds
-one alpha block, and ``rounds`` spells the learner of each iteration.
+concatenated preorder node arrays (see trees.py), and ``rounds`` spells
+the learner of each iteration. The kernel part of a model is one function
+over one anchor set, nu * K(., anchors) (alpha_1 + ... + alpha_M), so the
+file keeps only each output's alpha summed over the kernel rounds. A
+loaded model therefore cannot be truncated below its last kernel round.
 Loading checks the whole document, every tree's links included, before
 it builds the model.
 """
@@ -35,7 +38,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit, softmax
 
-from .data import TASKS, Dataset, Standardizer, check_count, fit_standardizer, identity_standardizer
+from .data import (
+    TASKS,
+    Dataset,
+    Standardizer,
+    check_count,
+    check_flag,
+    check_real,
+    fit_standardizer,
+    identity_standardizer,
+)
 from .errors import DataError, ModelFormatError, NumericalError
 from .kernels import (
     RHO_MODES,
@@ -43,8 +55,8 @@ from .kernels import (
     KernelSolver,
     build_gradient_cache,
     build_nystrom,
+    check_bandwidth,
     check_exact_gram_fits,
-    check_ridge_settings,
     fit_kernel_gradient,
     fit_kernel_newton,
     fitted_values,
@@ -56,7 +68,7 @@ from .kernels import (
 from .losses import LossFunction, for_task, gradient_hessian, loss_values, optimal_constant
 from .trees import Tree, fit_tree, predict_tree_batch, presort_features
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _FLOAT, _INT = "<f8", "<i4"
 _TREE_FIELDS = (("feature", _INT), ("threshold", _FLOAT), ("left", _INT),
                 ("right", _INT), ("value", _FLOAT), ("n", _INT))
@@ -74,7 +86,9 @@ class BoostConfig:
     kernel learners are enabled. ``early_stopping_rounds`` stops training
     once the validation risk has not improved for that many iterations;
     fit refuses it without validation data. Counts, the seed included, must
-    be ints or numpy integers, not bools.
+    be ints or numpy integers, and ``nu``, ``rho`` and ``lam`` Python or
+    numpy reals; neither may be a bool. ``newton`` and ``standardize`` must
+    be bools.
     """
 
     iterations: int = 100
@@ -100,8 +114,9 @@ class BoostConfig:
         for name in ("nystrom", "early_stopping_rounds"):
             if getattr(self, name) is not None:
                 check_count(getattr(self, name), name, 1)
-        if not 0 < self.nu <= 1:
-            raise DataError("shrinkage nu must lie in (0, 1]")
+        check_real(self.nu, "shrinkage nu", 0.0, 1.0, low_open=True)
+        check_flag(self.newton, "newton")
+        check_flag(self.standardize, "standardize")
         if self.learner not in LEARNER_CHOICES:
             raise DataError(f"unknown learner {self.learner!r}")
         if self.selection not in SELECTION_MODES:
@@ -110,17 +125,22 @@ class BoostConfig:
             raise DataError("set either rho or rho_mode, not both")
         if self.rho_mode is not None and self.rho_mode not in RHO_MODES:
             raise DataError(f"unknown rho mode {self.rho_mode!r}")
-        check_ridge_settings(self.rho, self.lam)
+        if self.rho is not None:
+            check_bandwidth(self.rho)
+        check_real(self.lam, "lambda", 0.0, np.inf)
         if self.learner != "tree" and self.rho is None and self.rho_mode is None:
             raise DataError("kernel learners need rho or rho_mode")
 
 
 @dataclass
 class IterationLearners:
-    """The admitted candidate of one iteration: one Tree or alpha vector per output."""
+    """The admitted candidate of one iteration: one Tree or alpha vector per output.
+
+    A loaded model's kernel rounds hold None: its file keeps only their sum.
+    """
 
     tag: str
-    learners: list
+    learners: list | None
 
     def __post_init__(self):
         if self.tag not in ("tree", "kernel"):
@@ -132,6 +152,11 @@ class Ensemble:
     """Constant start plus nu-damped admitted learners, in order.
 
     Kernel alphas expand over one basis, ``anchors`` with ``kernel_config``.
+    ``alpha`` (outputs by anchors) is, per output, the alphas of all kernel
+    rounds summed in admission order, or None without a kernel round; it
+    is the only kernel coefficient predict reads. Left None, it is summed
+    from the rounds. A fitted model also keeps each round's alphas, so it
+    can be truncated anywhere; a loaded one keeps only the sum.
     """
 
     task: str
@@ -143,6 +168,7 @@ class Ensemble:
     label_names: tuple[str, ...] | None = None
     anchors: np.ndarray | None = None
     kernel_config: KernelConfig | None = None
+    alpha: np.ndarray | None = None
 
     def __post_init__(self):
         self.f0 = np.asarray(self.f0, dtype=np.float64)
@@ -150,12 +176,23 @@ class Ensemble:
             raise DataError(f"unknown task {self.task!r}")
         if self.f0.ndim != 1 or not np.all(np.isfinite(self.f0)):
             raise DataError("f0 must be a finite vector")
-        if not 0 < self.nu <= 1:
-            raise DataError("shrinkage nu must lie in (0, 1]")
-        if (self.anchors is None or self.kernel_config is None) and any(
-            it.tag == "kernel" for it in self.iterations
-        ):
+        check_real(self.nu, "shrinkage nu", 0.0, 1.0, low_open=True)
+        kernel_rounds = [it.learners for it in self.iterations if it.tag == "kernel"]
+        if kernel_rounds and (self.anchors is None or self.kernel_config is None):
             raise DataError("kernel rounds need anchors and a kernel_config")
+        if self.alpha is not None:
+            if not kernel_rounds:
+                raise DataError("a summed alpha needs kernel rounds")
+            self.alpha = np.asarray(self.alpha, dtype=np.float64)
+            if self.alpha.shape != (self.f0.shape[0], len(self.anchors)):
+                raise DataError(f"alpha must be outputs by anchors, got shape {self.alpha.shape}")
+            if not np.all(np.isfinite(self.alpha)):
+                raise DataError("non-finite kernel coefficients")
+        elif kernel_rounds:
+            if any(learners is None for learners in kernel_rounds):
+                raise DataError("kernel rounds need their alphas or their summed alpha")
+            # sum() adds the rounds one by one, in the order fit admitted them.
+            self.alpha = np.vstack([sum(per_output) for per_output in zip(*kernel_rounds)])
 
     @property
     def n_features(self) -> int:
@@ -354,20 +391,33 @@ def fit(
 
 
 def truncate(ensemble: Ensemble, n_iterations: int) -> Ensemble:
-    """A view of the ensemble keeping only the first n_iterations rounds."""
+    """A view of the ensemble keeping only the first n_iterations rounds.
+
+    A loaded model keeps only its summed alpha, so it cannot drop a kernel
+    round: below its last kernel round this raises DataError.
+    """
     check_count(n_iterations, "n_iterations", 0)
     if n_iterations > ensemble.n_iterations:
-        raise DataError(f"cannot truncate to {n_iterations} iterations")
-    return replace(ensemble, iterations=list(ensemble.iterations[:n_iterations]))
+        raise DataError(f"cannot truncate to {n_iterations} of {ensemble.n_iterations} iterations")
+    alpha = ensemble.alpha
+    dropped = [it for it in ensemble.iterations[n_iterations:] if it.tag == "kernel"]
+    if dropped:
+        if dropped[0].learners is None:
+            last = max(m for m, it in enumerate(ensemble.iterations, 1) if it.tag == "kernel")
+            raise DataError(f"a loaded model keeps only its summed kernel alpha, so it cannot be "
+                            f"truncated below its last kernel round, {last}")
+        alpha = None  # summed again from the kept rounds
+    return replace(ensemble, iterations=list(ensemble.iterations[:n_iterations]), alpha=alpha)
 
 
 def predict(ensemble: Ensemble, features: np.ndarray, truncate_at: int | None = None) -> np.ndarray:
     """Score matrix f0 + nu * sum of admitted learners, one column per output.
 
-    The alphas of all kernel rounds are summed first, so the kernel part is
-    one kernel matrix product whatever the iteration count. That matrix is
-    built in row blocks of at most kernels.KERNEL_BLOCK_LIMIT_BYTES.
-    ``features`` is one row or a matrix of numbers.
+    The kernel part is one kernel matrix product with the ensemble's summed
+    alpha, whatever the iteration count. That matrix is built in row blocks
+    of at most kernels.KERNEL_BLOCK_LIMIT_BYTES. ``features`` is one row or
+    a matrix of numbers; ``truncate_at`` predicts with
+    ``truncate(ensemble, truncate_at)``.
     """
     try:
         x = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -375,24 +425,17 @@ def predict(ensemble: Ensemble, features: np.ndarray, truncate_at: int | None = 
         raise DataError(f"features must be numeric: {exc}") from exc
     if x.ndim != 2:
         raise DataError(f"features must be a row or a 2-D matrix, got {x.ndim} dimensions")
+    if truncate_at is not None:
+        check_count(truncate_at, "truncate_at", 0)
+        ensemble = truncate(ensemble, truncate_at)
     xs = ensemble.standardizer.transform(x)
     scores = np.tile(ensemble.f0, (xs.shape[0], 1))
-    if truncate_at is None:
-        rounds = ensemble.iterations
-    else:
-        check_count(truncate_at, "truncate_at", 0)
-        if truncate_at > ensemble.n_iterations:
-            raise DataError(f"truncate_at {truncate_at} outside 0..{ensemble.n_iterations}")
-        rounds = ensemble.iterations[:truncate_at]
-
-    for it in rounds:
+    for it in ensemble.iterations:
         if it.tag == "tree":
             for k, tree in enumerate(it.learners):
                 scores[:, k] += ensemble.nu * predict_tree_batch(tree, xs)
-    kernel_rounds = [it.learners for it in rounds if it.tag == "kernel"]
-    if kernel_rounds:
-        # sum() adds the rounds one by one, in the order fit admitted them.
-        alphas = np.column_stack([sum(per_output) for per_output in zip(*kernel_rounds)])
+    if ensemble.alpha is not None:
+        alphas = np.ascontiguousarray(ensemble.alpha.T)  # one column per output
         rho = ensemble.kernel_config.rho
         step = kernel_block_rows(len(ensemble.anchors))
         for first in range(0, xs.shape[0], step):
@@ -502,16 +545,16 @@ def dumps(ensemble: Ensemble) -> str:
     """Canonical JSON: sorted keys, compact separators, base64 arrays.
 
     Every array is base64 of its little-endian bytes. Tree rounds share
-    one packed block of node arrays, kernel rounds one (rounds * outputs,
-    anchors) alpha block; ``rounds`` spells the learner order.
+    one packed block of node arrays; the kernel block, null without a
+    kernel round, holds the anchors and the (outputs, anchors) summed
+    alpha. ``rounds`` spells the learner order.
     """
     cfg = ensemble.kernel_config
     rounds = ensemble.iterations
     kernel = None
-    if ensemble.anchors is not None:
-        alphas = [a for it in rounds if it.tag == "kernel" for a in it.learners]
+    if ensemble.alpha is not None:
         kernel = {
-            "alpha": _pack(np.concatenate(alphas) if alphas else [], _FLOAT),
+            "alpha": _pack(ensemble.alpha, _FLOAT),
             "anchors": _pack(ensemble.anchors, _FLOAT),
             "rho": float(cfg.rho),
             "lambda": float(cfg.lam),
@@ -560,9 +603,8 @@ def loads(text: str) -> Ensemble:
         raise ModelFormatError("model document nests too deeply") from exc
     try:
         if doc.get("format_version") != FORMAT_VERSION:
-            raise ModelFormatError(
-                f"unsupported format version {doc.get('format_version')!r}"
-            )
+            raise ModelFormatError(f"unsupported format version {doc.get('format_version')!r}; "
+                                   f"retrain the model to write version {FORMAT_VERSION}")
         task = doc["task"]
         f0 = _unpack(doc["f0"], _FLOAT)
         std = Standardizer(
@@ -595,8 +637,10 @@ def loads(text: str) -> Ensemble:
             raise ModelFormatError(f"{len(trees)} trees for {rounds.count('t')} tree rounds of {d} outputs")
 
         kernel = doc["kernel"]
-        anchors = kconfig = alphas = None
+        anchors = kconfig = alpha = None
         if kernel is not None:
+            if "k" not in rounds:
+                raise ModelFormatError("a kernel block without kernel rounds")
             if kernel["mode"] not in ("exact", "nystrom"):
                 raise ModelFormatError(f"unknown kernel mode {kernel['mode']!r}")
             anchors = _unpack(kernel["anchors"], _FLOAT)
@@ -605,13 +649,10 @@ def loads(text: str) -> Ensemble:
             anchors = anchors.reshape(-1, n_features)
             if not np.all(np.isfinite(anchors)):
                 raise ModelFormatError("non-finite kernel anchors")
-            alphas = _unpack(kernel["alpha"], _FLOAT)
-            if alphas.size != rounds.count("k") * d * len(anchors):
-                raise ModelFormatError("kernel alpha needs one row per kernel round and output, "
-                                       "one entry per anchor")
-            if not np.all(np.isfinite(alphas)):
-                raise ModelFormatError("non-finite kernel coefficients")
-            alphas = alphas.reshape(-1, len(anchors))
+            alpha = _unpack(kernel["alpha"], _FLOAT)
+            if alpha.size != d * len(anchors):
+                raise ModelFormatError("kernel alpha needs one row per output, one entry per anchor")
+            alpha = alpha.reshape(d, len(anchors))  # Ensemble checks that it is finite
             samples = len(anchors) if kernel["mode"] == "nystrom" else None
             rho = _json_number(kernel["rho"], "rho")
             kconfig = KernelConfig(rho, _json_number(kernel["lambda"], "lambda"), samples)
@@ -619,16 +660,15 @@ def loads(text: str) -> Ensemble:
             raise ModelFormatError("kernel rounds without a kernel block")
 
         iterations = []
-        t = k = 0
+        t = 0
         for c in rounds:
             if c == "t":
                 iterations.append(IterationLearners("tree", trees[t:t + d]))
                 t += d
             else:
-                iterations.append(IterationLearners("kernel", list(alphas[k:k + d])))
-                k += d
+                iterations.append(IterationLearners("kernel", None))
         nu = _json_number(doc["nu"], "nu")
-        return Ensemble(task, doc["loss"], nu, f0, std, iterations, label_names, anchors, kconfig)
+        return Ensemble(task, doc["loss"], nu, f0, std, iterations, label_names, anchors, kconfig, alpha)
     except ModelFormatError:
         raise
     except (KeyError, TypeError, IndexError, AttributeError) as exc:

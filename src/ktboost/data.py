@@ -21,6 +21,33 @@ def check_count(value, name: str, minimum: int) -> None:
         raise DataError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
+def check_real(value, name: str, low: float, high: float, *, low_open: bool = False) -> float:
+    """Return value as a float; raise DataError unless it is a finite real in range.
+
+    value must be a Python or numpy real number, not a bool or a string,
+    with low <= value <= high (low < value when low_open). It is converted
+    before the comparisons, so an int too large for a float, such as
+    10**400, is refused rather than compared exactly.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DataError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = np.inf
+    above = low < number if low_open else low <= number
+    if not (np.isfinite(number) and above and number <= high):
+        bracket = "(" if low_open else "["
+        raise DataError(f"{name} must be a finite number in {bracket}{low}, {high}], got {value!r}")
+    return number
+
+
+def check_flag(value, name: str) -> None:
+    """Raise DataError unless value is a bool or a numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise DataError(f"{name} must be True or False, got {value!r}")
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr)
     arr.flags.writeable = False
@@ -151,9 +178,6 @@ class Standardizer:
             raise DataError(f"feature column {col} holds a non-finite value")
         return out
 
-    def inverse_transform(self, standardized: np.ndarray) -> np.ndarray:
-        return np.asarray(standardized, dtype=np.float64) * self.scales + self.means
-
 
 def identity_standardizer(n_features: int) -> Standardizer:
     return Standardizer(np.zeros(n_features), np.ones(n_features))
@@ -178,8 +202,11 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.fractions) != 3 or any(f <= 0 for f in self.fractions):
+        if not isinstance(self.fractions, (tuple, list)) or len(self.fractions) != 3:
             raise DataError("fractions must be three positive reals")
+        for f in self.fractions:
+            check_real(f, "a split fraction", 0.0, 1.0, low_open=True)
+        check_count(self.seed, "split seed", 0)
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise DataError("fractions must sum to 1")
 

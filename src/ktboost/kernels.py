@@ -57,7 +57,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve
 from scipy.spatial.distance import cdist
 
-from .data import check_count
+from .data import check_count, check_real
 from .errors import DataError, NumericalError
 
 # Diagonal jitter added before any Cholesky of a kernel-derived matrix,
@@ -90,25 +90,15 @@ DECAY01 = float(np.sqrt(np.log(100.0)))
 RHO_MODES = ("decay01", "slow")
 
 
-def check_ridge_settings(rho: float | None, lam: float) -> None:
-    """Raise DataError for a bandwidth or ridge penalty that no kernel fit can use.
+def check_bandwidth(rho) -> None:
+    """Raise DataError unless rho is a positive real with a finite, nonzero square.
 
-    lam must be finite and nonnegative. rho, when given, must be positive
-    with a square that is finite and nonzero: kernel_matrix divides squared
-    distances by rho squared, so a rho whose square underflows to 0 or
-    overflows is no bandwidth at all. NaN fails every comparison, so both
-    tests refuse it. Both are compared as floats: a Python int compares
-    exactly, so 10**400 would pass as finite and overflow later.
+    kernel_matrix divides squared distances by rho squared, so a positive
+    rho whose square underflows to 0 or overflows is no bandwidth at all.
     """
-    try:
-        rho = None if rho is None else float(rho)
-        lam = float(lam)
-    except OverflowError as exc:
-        raise DataError("rho and lambda must be finite") from exc
-    if rho is not None and not (rho > 0 and 0 < rho * rho < np.inf):
-        raise DataError("rho must be positive, with a finite and nonzero square")
-    if not 0 <= lam < np.inf:
-        raise DataError("lambda must be finite and nonnegative")
+    rho = check_real(rho, "rho", 0.0, np.inf, low_open=True)
+    if not 0 < rho * rho < np.inf:
+        raise DataError(f"rho must have a finite and nonzero square, got {rho!r}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +110,8 @@ class KernelConfig:
     nystrom_samples: int | None = None
 
     def __post_init__(self):
-        check_ridge_settings(self.rho, self.lam)
+        check_bandwidth(self.rho)
+        check_real(self.lam, "lambda", 0.0, np.inf)
         if self.nystrom_samples is not None:
             check_count(self.nystrom_samples, "nystrom sample count", 1)
 

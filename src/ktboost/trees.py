@@ -106,18 +106,6 @@ class Tree:
     value: np.ndarray
     n: np.ndarray
 
-    def n_leaves(self) -> int:
-        return int(np.count_nonzero(self.feature < 0))
-
-    def depth(self) -> int:
-        level, nodes = 0, np.zeros(1, dtype=np.intp)
-        while True:
-            nodes = nodes[self.feature[nodes] >= 0]
-            if nodes.size == 0:
-                return level
-            nodes = np.concatenate([self.left[nodes], self.right[nodes]])
-            level += 1
-
 
 def fit_tree(
     sorted_x: SortedFeatures,

@@ -19,6 +19,14 @@ from ktboost.kernels import factorize_spd
 from ktboost.trees import Tree
 
 
+# ------------------------------------------------------------------- data
+
+
+def inverse_standardize(standardizer, standardized):
+    """Undo ``Standardizer.transform``: z * scale + mean."""
+    return np.asarray(standardized, dtype=np.float64) * standardizer.scales + standardizer.means
+
+
 # ------------------------------------------------------------------ trees
 
 
@@ -193,6 +201,21 @@ def predict_tree(tree: Tree, x) -> float:
     while tree.feature[i] >= 0:
         i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
     return float(tree.value[i])
+
+
+def n_leaves(tree: Tree) -> int:
+    return int(np.count_nonzero(tree.feature < 0))
+
+
+def tree_depth(tree: Tree) -> int:
+    """Edges on the longest root-to-leaf path, walked level by level."""
+    level, nodes = 0, np.zeros(1, dtype=np.intp)
+    while True:
+        nodes = nodes[tree.feature[nodes] >= 0]
+        if nodes.size == 0:
+            return level
+        nodes = np.concatenate([tree.left[nodes], tree.right[nodes]])
+        level += 1
 
 
 def oracle_tree_predict(node, row):

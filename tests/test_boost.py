@@ -121,6 +121,30 @@ def test_boost_config_validation():
     assert BoostConfig(learner="tree").rho is None
 
 
+@pytest.mark.parametrize("bad", [
+    dict(nu="0.1"),
+    dict(learner="kernel", rho="0.5"),
+    dict(learner="kernel", rho=0.5, lam="1"),
+    dict(nu=True),
+    dict(newton="no"),
+    dict(standardize=0),
+], ids=["nu-str", "rho-str", "lam-str", "nu-bool", "newton-str", "standardize-int"])
+def test_boost_config_refuses_mistyped_settings(bad):
+    # a string or a bool is no real number, and only a bool is a flag
+    with pytest.raises(DataError, match="must be"):
+        BoostConfig(**{"learner": "tree", **bad})
+
+
+def test_real_and_flag_settings_accept_numpy_scalars():
+    config = BoostConfig(learner="kernel", nu=np.float32(0.5), rho=np.float64(0.5), lam=np.int64(2),
+                         newton=np.bool_(False), standardize=np.True_)
+    ens, _ = fit(_regression_data(n=20), config)
+    assert ens.nu == np.float32(0.5)
+    for bad in ("0.1", True, np.bool_(True), None, 0.0, 1.5, np.nan):
+        with pytest.raises(DataError, match="shrinkage nu"):
+            Ensemble("regression", "squared", bad, [0.0], identity_standardizer(1))
+
+
 def test_fit_input_validation():
     data = _regression_data()
     with pytest.raises(DataError):
@@ -867,6 +891,64 @@ def test_save_load_round_trip(tmp_path):
         assert path.read_bytes() == path2.read_bytes()
 
 
+def _per_round_scores(ens, x):
+    """Scores from the per-round alphas, summed round by round as format 3 did."""
+    xs = ens.standardizer.transform(x)
+    scores = np.tile(ens.f0, (len(xs), 1))
+    for it in ens.iterations:
+        if it.tag == "tree":
+            for k, tree in enumerate(it.learners):
+                scores[:, k] += ens.nu * predict_tree_batch(tree, xs)
+    kernel_rounds = [it.learners for it in ens.iterations if it.tag == "kernel"]
+    alphas = np.column_stack([sum(per_output) for per_output in zip(*kernel_rounds)])
+    scores += ens.nu * (kernel_matrix(xs, ens.anchors, ens.kernel_config.rho) @ alphas)
+    return scores
+
+
+@pytest.mark.parametrize("task", ["regression", "multiclass"])
+@pytest.mark.parametrize("nystrom", [None, 12])
+@pytest.mark.parametrize("learner", ["kernel", "ktboost"])
+def test_loaded_models_predict_every_bit(task, nystrom, learner):
+    if task == "regression":
+        data, rho, depth = _regression_data(seed=15), 0.8, 2
+    else:
+        data, rho, depth = _multiclass_data(seed=17), 2.0, 1
+    config = BoostConfig(iterations=12, nu=0.2, rho=rho, max_depth=depth, learner=learner,
+                         nystrom=nystrom, seed=4)
+    assert config.newton
+    ens, report = fit(data, config)
+    assert "kernel" in report.chosen and ("tree" in report.chosen) == (learner == "ktboost")
+    back = loads(dumps(ens))
+    x = np.random.default_rng(5).normal(size=(40, data.n_features))
+    assert np.array_equal(predict(back, x), predict(ens, x))
+    assert np.array_equal(predict(ens, x), _per_round_scores(ens, x))
+    # the file holds one summed alpha per output
+    assert back.alpha.shape == (ens.n_outputs, len(ens.anchors))
+    assert np.array_equal(back.alpha, ens.alpha)
+    assert all(it.learners is None for it in back.iterations if it.tag == "kernel")
+
+
+def test_loaded_models_truncate_only_after_their_last_kernel_round():
+    data = _regression_data(seed=15)
+    ens, report = fit(data, BoostConfig(iterations=12, nu=0.2, rho=0.8, max_depth=2))
+    last = max(m for m, tag in enumerate(report.chosen, 1) if tag == "kernel")
+    assert last < 12  # the model ends in tree rounds
+    back = loads(dumps(ens))
+    for m in range(last, 13):
+        want = predict(ens, data.features, truncate_at=m)
+        assert np.array_equal(predict(back, data.features, truncate_at=m), want)
+        assert np.array_equal(predict(truncate(back, m), data.features), want)
+        assert dumps(truncate(back, m)) == dumps(truncate(ens, m))
+    for m in (0, last - 1):
+        with pytest.raises(DataError, match=f"last kernel round, {last}"):
+            truncate(back, m)
+        with pytest.raises(DataError, match="last kernel round"):
+            predict(back, data.features, truncate_at=m)
+    # a fitted model truncates anywhere, and without kernel rounds writes none
+    assert truncate(ens, 0).alpha is None
+    assert json.loads(dumps(truncate(ens, 0)))["kernel"] is None
+
+
 def test_dumps_is_deterministic_and_canonical():
     data = _regression_data(seed=18)
     ens, _ = fit(data, BoostConfig(iterations=4, rho=0.5))
@@ -874,7 +956,7 @@ def test_dumps_is_deterministic_and_canonical():
     assert dumps(ens) == text
     assert text == dumps(loads(text))
     # compact separators, sorted keys
-    assert '"format_version":3' in text
+    assert '"format_version":4' in text
     assert ", " not in text.split('"label_map"')[0][:200]
 
 
@@ -916,7 +998,7 @@ def test_load_rejects_malformed_documents():
     with pytest.raises(ModelFormatError):
         loads("[1, 2, 3]")
     with pytest.raises(ModelFormatError):
-        loads(text.replace('"format_version":3', '"format_version":99'))
+        loads(text.replace('"format_version":4', '"format_version":99'))
     with pytest.raises(ModelFormatError):
         loads(text.replace('"task":"regression"', '"task":"binary"'))
     kernel_ens, _ = fit(data, BoostConfig(iterations=2, learner="kernel", rho=0.5))
@@ -1010,18 +1092,69 @@ def test_load_rejects_malformed_trees():
 def test_load_rejects_malformed_kernel_blocks():
     data = _binary_data(seed=22)  # two features
     kernel_text = dumps(fit(data, BoostConfig(iterations=3, learner="kernel", rho=0.5))[0])
-    for rounds in ("kk", "kkkk", "kkt"):
-        with pytest.raises(ModelFormatError):
-            loads(kernel_text.replace('"rounds":"kkk"', f'"rounds":"{rounds}"'))
-    # whole floats dropped: an anchor row cut short, no anchors, an alpha too few
-    for path, cut, message in ((("kernel", "anchors"), 8, "anchor matrix"),
-                               (("kernel", "anchors"), None, "anchor matrix"),
-                               (("kernel", "alpha"), 8, "one row per kernel round")):
-        with pytest.raises(ModelFormatError, match=message):
-            loads(_repack(kernel_text, path, lambda v: v.tobytes()[:-cut] if cut else b""))
+    # the kernel rounds' count is free, their trees are not
+    assert loads(kernel_text.replace('"rounds":"kkk"', '"rounds":"kk"')).n_iterations == 2
+    with pytest.raises(ModelFormatError, match="trees for"):
+        loads(kernel_text.replace('"rounds":"kkk"', '"rounds":"kkt"'))
+    # whole floats dropped: an anchor row cut short, no anchors
+    for cut in (8, None):
+        with pytest.raises(ModelFormatError, match="anchor matrix"):
+            loads(_repack(kernel_text, ("kernel", "anchors"), lambda v: v.tobytes()[:-cut] if cut else b""))
     doc = json.loads(kernel_text)
     doc["kernel"] = None
     with pytest.raises(ModelFormatError, match="without a kernel block"):
+        loads(json.dumps(doc))
+
+
+def test_load_checks_the_summed_alpha():
+    data = _multiclass_data(seed=22)
+    ens, report = fit(data, BoostConfig(iterations=4, nu=0.3, rho=1.0, max_depth=1))
+    assert "kernel" in report.chosen
+    text = dumps(ens)
+    assert dumps(loads(text)) == text
+    rounds = json.loads(text)["rounds"]
+    # one row of anchors entries per output, all finite
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ModelFormatError, match="non-finite kernel coefficients"):
+            loads(_repack(text, ("kernel", "alpha"), _assign(-1, bad)))
+    for edit in (lambda v: v.tobytes()[:-8], lambda v: v.tobytes()[: v.size // 3 * 8],
+                 lambda v: v.tobytes() * 2, lambda v: b""):
+        with pytest.raises(ModelFormatError, match="one row per output"):
+            loads(_repack(text, ("kernel", "alpha"), edit))
+    # the sum is present exactly when rounds holds a k
+    without_k = rounds.replace("k", "t")
+    trees = json.loads(dumps(fit(data, BoostConfig(iterations=len(rounds), learner="tree"))[0]))["trees"]
+    doc = json.loads(text)
+    doc["rounds"], doc["trees"] = without_k, trees
+    with pytest.raises(ModelFormatError, match="kernel block without kernel rounds"):
+        loads(json.dumps(doc))
+    doc["kernel"] = None
+    assert loads(json.dumps(doc)).alpha is None
+    doc = json.loads(text)
+    del doc["kernel"]["alpha"]
+    with pytest.raises(ModelFormatError, match="alpha"):
+        loads(json.dumps(doc))
+    # so is an Ensemble's
+    loaded = loads(text)
+    with pytest.raises(DataError, match="summed alpha needs kernel rounds"):
+        dataclasses.replace(loaded, iterations=[it for it in loaded.iterations if it.tag == "tree"])
+    with pytest.raises(DataError, match="their summed alpha"):
+        dataclasses.replace(loaded, alpha=None)
+    with pytest.raises(DataError, match="outputs by anchors"):
+        dataclasses.replace(loaded, alpha=loaded.alpha[:2])
+    with pytest.raises(DataError, match="non-finite"):
+        dataclasses.replace(loaded, alpha=np.full_like(loaded.alpha, np.nan))
+
+
+def test_load_refuses_format_version_3():
+    # version 3 stored one alpha row per kernel round and output
+    data = _regression_data(seed=20)
+    ens, _ = fit(data, BoostConfig(iterations=3, learner="kernel", rho=0.5))
+    doc = json.loads(dumps(ens))
+    doc["format_version"] = 3
+    doc["kernel"]["alpha"] = base64.b64encode(
+        np.concatenate([it.learners[0] for it in ens.iterations]).tobytes()).decode("ascii")
+    with pytest.raises(ModelFormatError, match="version 3; retrain"):
         loads(json.dumps(doc))
 
 
@@ -1064,7 +1197,7 @@ def test_ensemble_manual_construction():
 
 @functools.lru_cache(maxsize=None)
 def _fuzz_models():
-    """Two small v3 documents: exact-kernel ktboost and Nystrom binary."""
+    """Two small v4 documents: exact-kernel ktboost and Nystrom binary."""
     rng = np.random.default_rng(3)
     x = rng.uniform(size=(10, 2))
     reg, rep = fit(Dataset(x, np.sin(4 * x[:, 0]) + x[:, 1], "regression"),

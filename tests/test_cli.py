@@ -226,7 +226,7 @@ def test_non_finite_standardized_features_exit_two(tmp_path, capsys):
     model = tmp_path / "m.json"
     assert run_cli(["train", "--data", str(data), "--task", "regression",
                     "--rho", "0.5", "--iterations", "3", "--out", str(model)]) == 0
-    # a v3 file that loads: finite, but (x - 1e308) / 1e-3 overflows
+    # a model file that loads: finite, but (x - 1e308) / 1e-3 overflows
     doc = json.loads(model.read_text())
     doc["standardizer"]["means"] = base64.b64encode(np.array([1e308], "<f8").tobytes()).decode()
     doc["standardizer"]["scales"] = base64.b64encode(np.array([1e-3], "<f8").tobytes()).decode()
@@ -291,6 +291,10 @@ def test_numerical_errors_exit_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def _deep_tree_model(path, depth):
     """Save a regression model whose one tree nests ``depth`` splits leftward.
 
@@ -341,15 +345,28 @@ def test_model_file_errors_exit_two(tmp_path, capsys):
           "iterations": [{"tag": "tree", "per_class": [{"n": 1, "weight": 1.0}]}]}
     older = tmp_path / "v2.json"
     older.write_text(json.dumps(v2))
+    # version 3 wrote one alpha row per kernel round and output: two rounds here
+    v3 = {"format_version": 3, "task": "regression", "loss": "squared", "nu": 0.1,
+          "f0": _b64([0.0]), "standardizer": {"means": _b64([0.0]), "scales": _b64([1.0])},
+          "label_map": None, "rounds": "kk",
+          "trees": {name: "" for name in ("start", "feature", "threshold", "left", "right",
+                                          "value", "n")},
+          "kernel": {"alpha": _b64([1.0, 0.5]), "anchors": _b64([0.0]), "rho": 1.0,
+                     "lambda": 1.0, "mode": "exact"}}
+    oldest_kernel = tmp_path / "v3.json"
+    oldest_kernel.write_text(json.dumps(v3))
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100000)
     capsys.readouterr()
-    for model, message in ((old, "version 1"), (older, "version 2"), (nested, "nests too deeply")):
+    for model, message in ((old, "version 1"), (older, "version 2"), (oldest_kernel, "version 3"),
+                           (nested, "nests too deeply")):
         assert run_cli(["predict", "--model", str(model), "--data", str(data),
                         "--has-target", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+        if message.startswith("version"):
+            assert "retrain" in err
 
 
 def test_non_utf8_files_exit_two(tmp_path, capsys):

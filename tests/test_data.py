@@ -15,6 +15,8 @@ from ktboost import (
     split,
     write_csv,
 )
+from ktboost.data import check_flag, check_real
+from oracles import inverse_standardize
 
 
 def _toy_regression(n=20, p=3, seed=0):
@@ -96,7 +98,7 @@ def test_standardizer_round_trip():
     z = st.transform(x)
     assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(z.std(axis=0, ddof=1), 1.0, atol=1e-12)
-    assert np.allclose(st.inverse_transform(z), x, atol=1e-12)
+    assert np.allclose(inverse_standardize(st, z), x, atol=1e-12)
 
 
 def test_standardizer_constant_column_floor():
@@ -180,6 +182,27 @@ def test_split_validation():
         SplitSpec((0.9, 0.05, -0.05))
     with pytest.raises(DataError):
         split(_toy_regression(n=2), SplitSpec())  # empty part
+    for fractions in (("0.5", 0.25, 0.25), (True, 0.0, 0.0), "abc", (0.5, 0.5)):
+        with pytest.raises(DataError):
+            SplitSpec(fractions)
+    for seed in (-1, 1.5, "7", True):
+        with pytest.raises(DataError, match="split seed"):
+            SplitSpec(seed=seed)
+    assert SplitSpec((np.float32(0.5), 0.25, 0.25), seed=np.int64(2)).seed == 2
+
+
+def test_check_real_and_check_flag():
+    assert check_real(np.int64(3), "x", 0.0, 5.0) == 3.0
+    assert type(check_real(np.float32(0.5), "x", 0.0, 1.0)) is float
+    assert check_real(0.0, "x", 0.0, 1.0) == 0.0
+    for bad in (0.0, -1, 1.5, np.nan, np.inf, 10**400, "0.5", True, np.bool_(False), None, [0.5]):
+        with pytest.raises(DataError, match="x must be"):
+            check_real(bad, "x", 0.0, 1.0, low_open=True)
+    for flag in (True, False, np.True_, np.bool_(False)):
+        check_flag(flag, "f")
+    for bad in (0, 1, "no", None, 1.0):
+        with pytest.raises(DataError, match="f must be True or False"):
+            check_flag(bad, "f")
 
 
 # -------------------------------------------------------------------- csv

@@ -518,6 +518,10 @@ def test_kernel_config_validation():
                      (10**400, 1.0), (1.0, 10**400)):
         with pytest.raises(DataError):
             KernelConfig(rho=rho, lam=lam)
+    # rho and lam are real numbers, not strings or bools
+    for rho, lam in (("0.5", 1.0), (True, 1.0), (1.0, "1"), (1.0, False), (None, 1.0)):
+        with pytest.raises(DataError, match="must be a real number"):
+            KernelConfig(rho=rho, lam=lam)
     config = KernelConfig(rho=1.0, lam=0.0)
     assert config.lam == 0.0
 

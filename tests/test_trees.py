@@ -24,9 +24,11 @@ from ktboost.losses import for_task
 from oracles import (
     argsort_tree,
     assert_same_tree,
+    n_leaves,
     oracle_tree,
     oracle_tree_predict,
     predict_tree,
+    tree_depth,
     tree_objective,
 )
 from oracles import best_split as one_column_best_split  # the one-column scan, kept verbatim
@@ -69,8 +71,8 @@ def test_stump_hand_case():
     assert (tree.left.tolist(), tree.right.tolist()) == ([1, -1, -1], [2, -1, -1])
     assert tree.value.tolist() == [0.0, 1.0, -1.0]
     assert tree.n.tolist() == [2, 1, 1]
-    assert tree.n_leaves() == 2
-    assert tree.depth() == 1
+    assert n_leaves(tree) == 2
+    assert tree_depth(tree) == 1
 
 
 def test_split_gain_value():
@@ -86,7 +88,7 @@ def test_depth_zero_single_leaf():
     tree = _fit(np.arange(6.0).reshape(6, 1), np.arange(6.0),
                 np.ones(6), max_depth=0)
     assert tree.feature.tolist() == [-1]
-    assert tree.depth() == 0
+    assert tree_depth(tree) == 0
     # leaf weight is -sum(g)/sum(h)
     assert np.isclose(tree.value[0], -2.5)
 
@@ -96,7 +98,7 @@ def test_constant_gradient_never_splits():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(30, 2))
     tree = _fit(x, np.full(30, 0.5), np.ones(30), max_depth=3)
-    assert tree.n_leaves() == 1
+    assert n_leaves(tree) == 1
     assert tree.value[0] == -0.5
 
 
@@ -124,7 +126,7 @@ def test_tie_prefers_lowest_feature():
     col = rng.normal(size=25)
     x = np.column_stack([col, col])  # identical columns, identical gains
     tree = _fit(x, rng.normal(size=25), np.ones(25), max_depth=2)
-    assert tree.depth() > 0
+    assert tree_depth(tree) > 0
     assert set(tree.feature.tolist()) == {-1, 0}
 
 
@@ -140,7 +142,7 @@ def test_min_samples_leaf_respected():
     x = rng.normal(size=(40, 2))
     tree = _fit(x, rng.normal(size=40), np.ones(40), max_depth=4,
                 min_samples_leaf=7)
-    assert tree.depth() > 0
+    assert tree_depth(tree) > 0
     assert tree.n[tree.feature < 0].min() >= 7
 
 
@@ -209,7 +211,7 @@ def test_monotone_transform_invariance():
     assert np.allclose(
         predict_tree_batch(tree_a, x), predict_tree_batch(tree_b, x**3)
     )
-    assert tree_a.n_leaves() == tree_b.n_leaves()
+    assert n_leaves(tree_a) == n_leaves(tree_b)
 
 
 # ------------------------------------------- presorted vs per-node argsort
